@@ -5,8 +5,8 @@ STATICCHECK ?= staticcheck
 COVER_MIN ?= 70.0
 # Benchmark-regression gate: geomean slowdown beyond this ratio fails.
 BENCH_THRESHOLD ?= 1.10
-# Allocation gate: any gated benchmark whose allocs/op grows beyond this
-# ratio of its baseline fails (allocs are near-deterministic, so this is
+# Allocation gate: any gated benchmark whose allocs/op or B/op grows beyond
+# this ratio of its baseline fails (both are near-deterministic, so this is
 # tight).
 ALLOC_THRESHOLD ?= 1.10
 
@@ -51,7 +51,7 @@ cover:
 # Benchmark-regression gate for the simulator hot path. Compares the gated
 # benchmarks (./sim, median of 6 counts) against the committed
 # BENCH_baseline.json and fails on a >10% geomean slowdown or on any gated
-# benchmark's allocs/op growing past ALLOC_THRESHOLD. Absolute ns/op is
+# benchmark's allocs/op or B/op growing past ALLOC_THRESHOLD. Absolute ns/op is
 # machine-dependent: after an intentional perf change, or when moving the
 # reference machine, refresh the baseline with `make benchbaseline` and
 # commit the resulting BENCH_baseline.json alongside the change.

@@ -4,9 +4,10 @@
 // compares against one, failing when the geometric-mean slowdown across the
 // gated benchmarks exceeds a threshold. When the bench output carries
 // -benchmem columns, allocations per op are gated too: any gated benchmark
-// whose median allocs/op grows past its own threshold fails the check, so
-// an accidentally re-introduced hot-loop allocation is caught even when it
-// is too cheap to move ns/op.
+// whose median allocs/op or B/op grows past the alloc threshold fails the
+// check, so an accidentally re-introduced hot-loop allocation is caught
+// even when it is too cheap to move ns/op, and a buffer that grows with run
+// length is caught even when it reallocates too rarely to move allocs/op.
 //
 // Write a baseline (commit the output as BENCH_baseline.json):
 //
@@ -36,8 +37,8 @@ import (
 )
 
 // Baseline is the committed reference: median ns/op (and, when recorded
-// with -benchmem, median allocs/op) per benchmark, with the machine context
-// that produced it recorded for humans reading diffs.
+// with -benchmem, median allocs/op and B/op) per benchmark, with the machine
+// context that produced it recorded for humans reading diffs.
 type Baseline struct {
 	// Note is free-form provenance (host CPU line from the bench output).
 	Note string `json:"note,omitempty"`
@@ -48,6 +49,10 @@ type Baseline struct {
 	// baselines recorded without -benchmem; such benchmarks are not
 	// alloc-gated.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	// BytesPerOp maps benchmark name to the median B/op. Absent for
+	// baselines recorded without -benchmem or before B/op was recorded;
+	// such benchmarks report B/op but are not gated on it.
+	BytesPerOp map[string]float64 `json:"bytes_per_op,omitempty"`
 }
 
 // benchLine matches e.g.
@@ -55,17 +60,19 @@ type Baseline struct {
 //	BenchmarkRunUntraced-8   	       9	 127850275 ns/op	11328728 B/op	     246 allocs/op
 //
 // The B/op and allocs/op columns only appear under -benchmem.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ B/op\s+([0-9]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9]+) allocs/op)?`)
 
 // samples accumulates the repeated-count measurements of one benchmark.
 type samples struct {
 	ns     []float64
+	bytes  []float64 // empty when the run lacked -benchmem
 	allocs []float64 // empty when the run lacked -benchmem
 }
 
 // medians is one benchmark's noise-damped result.
 type medians struct {
 	ns     float64
+	bytes  float64
 	allocs float64
 	hasMem bool
 }
@@ -75,7 +82,7 @@ func main() {
 		write          = flag.String("write", "", "write a baseline JSON to this path instead of comparing")
 		baseline       = flag.String("baseline", "", "baseline JSON to compare the piped bench output against")
 		threshold      = flag.Float64("threshold", 1.10, "fail when geomean(new/old) ns/op exceeds this ratio")
-		allocThreshold = flag.Float64("alloc-threshold", 1.10, "fail when any gated benchmark's allocs/op exceeds this ratio of its baseline")
+		allocThreshold = flag.Float64("alloc-threshold", 1.10, "fail when any gated benchmark's allocs/op or B/op exceeds this ratio of its baseline")
 		filter         = flag.String("filter", "", "regexp restricting which benchmarks participate in the gate")
 	)
 	flag.Parse()
@@ -125,9 +132,9 @@ func main() {
 	os.Exit(compare(os.Stdout, os.Stderr, base, meds, keep, *threshold, *allocThreshold))
 }
 
-// writeBaseline marshals the medians as a baseline file. Alloc medians are
-// only recorded when every parsed benchmark carried them (a mixed run would
-// otherwise silently un-gate the missing ones forever).
+// writeBaseline marshals the medians as a baseline file. Alloc and byte
+// medians are only recorded when every parsed benchmark carried them (a
+// mixed run would otherwise silently un-gate the missing ones forever).
 func writeBaseline(path, note string, meds map[string]medians) error {
 	b := Baseline{Note: note, NsPerOp: make(map[string]float64, len(meds))}
 	allMem := true
@@ -139,11 +146,13 @@ func writeBaseline(path, note string, meds map[string]medians) error {
 	}
 	if allMem {
 		b.AllocsPerOp = make(map[string]float64, len(meds))
+		b.BytesPerOp = make(map[string]float64, len(meds))
 	}
 	for name, m := range meds {
 		b.NsPerOp[name] = m.ns
 		if allMem {
 			b.AllocsPerOp[name] = m.allocs
+			b.BytesPerOp[name] = m.bytes
 		}
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
@@ -159,9 +168,10 @@ func writeBaseline(path, note string, meds map[string]medians) error {
 // Benchmarks on only one side are reported but never gated: an added
 // benchmark has no baseline to regress against, and a removed one has no
 // measurement. The ns/op verdict is the geomean ratio across gated
-// benchmarks against threshold; the allocs/op verdict is per-benchmark
-// (allocation counts are near-deterministic, so one benchmark's regression
-// must not hide in a geomean).
+// benchmarks against threshold; the allocs/op and B/op verdicts are
+// per-benchmark against allocThreshold (allocation counts and volumes are
+// near-deterministic, so one benchmark's regression must not hide in a
+// geomean). A memory column the baseline lacks is reported, not gated.
 func compare(out, errw io.Writer, base Baseline, meds map[string]medians, keep *regexp.Regexp, threshold, allocThreshold float64) int {
 	names := make([]string, 0, len(meds))
 	for name := range meds {
@@ -172,6 +182,20 @@ func compare(out, errw io.Writer, base Baseline, meds map[string]medians, keep *
 	var logSum float64
 	var gated int
 	var allocFailures []string
+	// memGate reports one -benchmem column against its baseline map and
+	// records a failure when a gated benchmark regresses past allocThreshold.
+	memGate := func(name, unit, mark string, base map[string]float64, now float64, isGated bool) {
+		old, ok := base[name]
+		if !ok {
+			fmt.Fprintf(out, "%-40s %12.0f %s  (no baseline, ignored)\n", name, now, unit)
+			return
+		}
+		fmt.Fprintf(out, "%-40s %12.0f -> %12.0f %s%s\n", name, old, now, unit, mark)
+		if isGated && allocRegressed(old, now, allocThreshold) {
+			allocFailures = append(allocFailures, fmt.Sprintf(
+				"%s: %s %.0f -> %.0f exceeds threshold %.2f", name, unit, old, now, allocThreshold))
+		}
+	}
 	for _, name := range names {
 		now := meds[name]
 		old, ok := base.NsPerOp[name]
@@ -190,16 +214,11 @@ func compare(out, errw io.Writer, base Baseline, meds map[string]medians, keep *
 		}
 		fmt.Fprintf(out, "%-40s %12.0f -> %12.0f ns/op  %+6.1f%%%s\n",
 			name, old, now.ns, (ratio-1)*100, mark)
-		oldAllocs, haveOld := base.AllocsPerOp[name]
-		if !haveOld || !now.hasMem {
+		if !now.hasMem {
 			continue
 		}
-		fmt.Fprintf(out, "%-40s %12.0f -> %12.0f allocs/op%s\n",
-			name, oldAllocs, now.allocs, mark)
-		if isGated && allocRegressed(oldAllocs, now.allocs, allocThreshold) {
-			allocFailures = append(allocFailures, fmt.Sprintf(
-				"%s: allocs/op %.0f -> %.0f exceeds threshold %.2f", name, oldAllocs, now.allocs, allocThreshold))
-		}
+		memGate(name, "allocs/op", mark, base.AllocsPerOp, now.allocs, isGated)
+		memGate(name, "B/op", mark, base.BytesPerOp, now.bytes, isGated)
 	}
 	for name := range base.NsPerOp {
 		if _, ok := meds[name]; !ok {
@@ -229,8 +248,8 @@ func compare(out, errw io.Writer, base Baseline, meds map[string]medians, keep *
 	return 0
 }
 
-// allocRegressed reports whether now allocs/op regresses past the ratio
-// threshold of old. A zero-alloc baseline tolerates no allocations at all.
+// allocRegressed reports whether now allocs/op (or B/op) regresses past the
+// ratio threshold of old. A zero baseline tolerates no allocation at all.
 func allocRegressed(old, now, threshold float64) bool {
 	if old == 0 {
 		return now > 0
@@ -266,10 +285,15 @@ func parse(r io.Reader) (map[string]*samples, string, error) {
 		}
 		s.ns = append(s.ns, v)
 		if m[3] != "" {
-			a, err := strconv.ParseFloat(m[3], 64)
+			by, err := strconv.ParseFloat(m[3], 64)
+			if err != nil {
+				return nil, "", fmt.Errorf("bad B/op in %q: %v", line, err)
+			}
+			a, err := strconv.ParseFloat(m[4], 64)
 			if err != nil {
 				return nil, "", fmt.Errorf("bad allocs/op in %q: %v", line, err)
 			}
+			s.bytes = append(s.bytes, by)
 			s.allocs = append(s.allocs, a)
 		}
 	}
@@ -283,6 +307,7 @@ func reduce(parsed map[string]*samples) map[string]medians {
 	for name, s := range parsed {
 		m := medians{ns: median(s.ns)}
 		if len(s.allocs) == len(s.ns) && len(s.allocs) > 0 {
+			m.bytes = median(s.bytes)
 			m.allocs = median(s.allocs)
 			m.hasMem = true
 		}

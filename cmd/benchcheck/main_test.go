@@ -50,6 +50,9 @@ func TestParseBenchmem(t *testing.T) {
 	if m.ns != 105000000 {
 		t.Errorf("ns median = %v, want 105000000", m.ns)
 	}
+	if m.bytes != 5242880 {
+		t.Errorf("bytes median = %v, want 5242880", m.bytes)
+	}
 }
 
 func TestParseWithoutBenchmem(t *testing.T) {
@@ -153,6 +156,34 @@ func TestCompareAllocTolerance(t *testing.T) {
 	meds = map[string]medians{"BenchmarkX": {ns: 100, allocs: 1e6, hasMem: true}}
 	if code, _, _ := compareResult(t, noAllocs, meds, 1.10, 1.10); code != 0 {
 		t.Errorf("exit = %d, want 0 when the baseline has no alloc data", code)
+	}
+}
+
+// A buffer that grows with run length reallocates rarely: allocs/op stays
+// flat while B/op balloons. The B/op gate must fail it on its own, and a
+// baseline recorded before B/op was tracked must report it without gating.
+func TestCompareBytesRegressionFailsWithFlatAllocs(t *testing.T) {
+	base := Baseline{
+		NsPerOp:     map[string]float64{"BenchmarkX": 100},
+		AllocsPerOp: map[string]float64{"BenchmarkX": 72},
+		BytesPerOp:  map[string]float64{"BenchmarkX": 12.7e6},
+	}
+	meds := map[string]medians{"BenchmarkX": {ns: 100, allocs: 72, bytes: 291e6, hasMem: true}}
+	code, _, errs := compareResult(t, base, meds, 1.10, 1.10)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 for a B/op regression with flat allocs/op", code)
+	}
+	if !strings.Contains(errs, "B/op") || strings.Contains(errs, "allocs/op") {
+		t.Errorf("stderr should name only the B/op failure: %q", errs)
+	}
+
+	base.BytesPerOp = nil
+	code, out, _ := compareResult(t, base, meds, 1.10, 1.10)
+	if code != 0 {
+		t.Errorf("exit = %d, want 0 when the baseline has no B/op data", code)
+	}
+	if !strings.Contains(out, "B/op  (no baseline, ignored)") {
+		t.Errorf("B/op without a baseline should be reported as ignored:\n%s", out)
 	}
 }
 

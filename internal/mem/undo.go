@@ -118,19 +118,32 @@ type undoRec struct {
 	prefetch              bool
 }
 
-// undoJournal is the hierarchy's rollback buffer: a flat record slice with a
-// retired-prefix head index, so retirement is O(1) amortised and rollback
-// compacts in place.
+// undoJournal is the hierarchy's rollback buffer: a flat record slice whose
+// live (pending) window is recs[head:]; retirement advances head, so it is
+// O(1) amortised.
+//
+// Memory is bounded by the live window, not by run length. Under continuous
+// speculation the journal may never fully drain, so the retired prefix
+// recs[:head] is reclaimed in place instead of waiting for a drain: add
+// slides the live window to index 0 when the slice is full and at least
+// half of it is retired, and rollbackAfter compacts survivors from index 0.
+// The slice therefore grows only while more than half of it is live, so its
+// capacity stays within a small constant multiple of the pending high-water
+// mark. A slide copies at most half the slice, and the next one needs at
+// least half a slice of adds, so add stays O(1) amortised.
 type undoJournal struct {
 	opts UndoOptions
 	recs []undoRec
 	head int
 }
 
-func (j *undoJournal) add(r undoRec) { j.recs = append(j.recs, r) }
-
-// empty reports whether every record has been retired or rolled back.
-func (j *undoJournal) empty() bool { return j.head == len(j.recs) }
+func (j *undoJournal) add(r undoRec) {
+	if len(j.recs) == cap(j.recs) && 2*j.head >= len(j.recs) {
+		j.recs = j.recs[:copy(j.recs, j.recs[j.head:])]
+		j.head = 0
+	}
+	j.recs = append(j.recs, r)
+}
 
 // pending reports the number of live (unretired) records.
 func (j *undoJournal) pending() int { return len(j.recs) - j.head }
@@ -153,14 +166,15 @@ func (j *undoJournal) retireUpTo(h *Hierarchy, frontier uint64) {
 }
 
 // rollbackAfter undoes, in reverse perform order, every record belonging to
-// an instruction younger than the survivor, then compacts the journal.
+// an instruction younger than the survivor, then compacts the surviving
+// live records to the front of the slice, dropping the retired prefix.
 func (j *undoJournal) rollbackAfter(h *Hierarchy, survivorSeq uint64) {
 	for i := len(j.recs) - 1; i >= j.head; i-- {
 		if j.recs[i].seq > survivorSeq {
 			j.undo(h, &j.recs[i])
 		}
 	}
-	w := j.head
+	w := 0
 	for i := j.head; i < len(j.recs); i++ {
 		if j.recs[i].seq <= survivorSeq {
 			j.recs[w] = j.recs[i]
@@ -168,6 +182,7 @@ func (j *undoJournal) rollbackAfter(h *Hierarchy, survivorSeq uint64) {
 		}
 	}
 	j.recs = j.recs[:w]
+	j.head = 0
 }
 
 // undo reverses one record, validating that the state it describes is still

@@ -324,3 +324,88 @@ func TestUndoRandomReplacementRollback(t *testing.T) {
 		t.Error("wrong lines resident after random-replacement rollback")
 	}
 }
+
+// TestUndoJournalBoundedUnderContinuousSpeculation drives 10^6 journaled
+// accesses with the commit frontier trailing issue, so the journal never
+// fully drains, and checks that its backing capacity tracks the pending
+// high-water mark instead of the run length.
+func TestUndoJournalBoundedUnderContinuousSpeculation(t *testing.T) {
+	h := undoHierarchy(UndoOptions{})
+	const accesses = 1_000_000
+	x := uint64(1) // xorshift64 address stream
+	hw := 0
+	for seq := uint64(1); seq <= accesses; seq++ {
+		// A 32 KiB region over the 1 KiB L1 mixes hits, recency touches,
+		// evictions, write-backs, DRAM trips and MSHR-full rejections.
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addr := 0x10000 + x%512*64
+		opts := AccessOptions{UndoSeq: seq}
+		if seq%7 == 0 {
+			opts.Write, opts.NoMSHR = true, true
+		}
+		h.Access(seq*40, addr, ClassDemand, opts)
+		hw = max(hw, h.UndoPending())
+		// The frontier trails issue by 1..32 instructions; now and then a
+		// squash unwinds part of the in-flight window.
+		lag := 1 + seq%32
+		if seq%101 == 0 {
+			h.RollbackAfter(seq - lag/2)
+		}
+		if seq > lag {
+			h.RetireUpTo(seq - lag)
+		}
+		if h.UndoPending() == 0 {
+			t.Fatalf("access %d: journal drained; the scenario must keep it live", seq)
+		}
+		if c := cap(h.undo.recs); c > 4*hw+256 {
+			t.Fatalf("access %d: journal capacity %d exceeds 4 x pending high-water %d + 256", seq, c, hw)
+		}
+	}
+}
+
+// TestUndoRollbackAcrossCompaction rolls back a speculative epoch during
+// which the journal slid its live window to index 0 (a compaction point
+// between the epoch's own records) and checks that rollback still restores
+// every observable exactly and keeps the older live records.
+func TestUndoRollbackAcrossCompaction(t *testing.T) {
+	h := undoHierarchy(UndoOptions{})
+	j := h.undo
+	// Continuous speculation: each access retires its predecessor's records,
+	// so the journal never drains and the retired prefix piles up until the
+	// slice is nearly full.
+	seq, now := uint64(0), uint64(0)
+	for len(j.recs) < cap(j.recs)-24 {
+		seq++
+		now += 300
+		h.Access(now, 0x10000+seq*0x240, ClassDemand, AccessOptions{UndoSeq: seq})
+		h.RetireUpTo(seq - 1)
+	}
+	now += 5000 // all fills long complete, MSHRs expired
+	before := printOf(h, now)
+	live := h.UndoPending()
+
+	// Epoch seq+1 overflows the slice: its first records land before the
+	// slide, the rest after it.
+	spec := AccessOptions{UndoSeq: seq + 1}
+	h.Access(now, 0x50000, ClassDemand, spec)
+	if j.head == 0 {
+		t.Fatal("journal slid before the epoch began")
+	}
+	for i := uint64(1); j.head != 0; i++ {
+		if i > 64 {
+			t.Fatal("journal never slid its live window")
+		}
+		h.Access(now+i, 0x50000+i*0x240, ClassDemand, spec)
+	}
+	h.Access(now+100, 0x10200, ClassDemand, AccessOptions{UndoSeq: seq + 1, Write: true, NoMSHR: true})
+
+	h.RollbackAfter(seq)
+	if got := printOf(h, now); got != before {
+		t.Errorf("rollback across the compaction point diverged:\nbefore %+v\nafter  %+v", before, got)
+	}
+	if h.UndoPending() != live {
+		t.Errorf("%d live records after rollback, want the %d that predate the epoch", h.UndoPending(), live)
+	}
+}

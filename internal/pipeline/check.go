@@ -4,8 +4,9 @@ import "fmt"
 
 // CheckInvariants validates the machine's structural invariants: rename-map
 // consistency, physical-register accounting, queue cross-links, and
-// shadow-tracker agreement with the reorder buffer. It returns the first
-// violation found, or nil.
+// shadow-tracker agreement with the reorder buffer, and, under an undo
+// scheme, a drained rollback journal whenever the reorder buffer is empty.
+// It returns the first violation found, or nil.
 //
 // With Config.SelfCheck set, Step runs this every cycle and panics on a
 // violation — slow, but it turns silent state corruption into an immediate,
@@ -126,6 +127,12 @@ func (c *Core) CheckInvariants() error {
 		if u.seq > prevSeq || (c.rob.len() > 0 && u.seq < c.robEntries[c.rob.headIdx()].seq) {
 			return fmt.Errorf("iq holds stale uop seq %d", u.seq)
 		}
+	}
+
+	// Undo journal: with no instruction in flight, every journaled side
+	// effect has either retired (commit) or been rolled back (squash).
+	if c.undoOn && c.rob.empty() && c.hier.UndoPending() > 0 {
+		return fmt.Errorf("empty ROB but %d unretired undo-journal records", c.hier.UndoPending())
 	}
 	return nil
 }

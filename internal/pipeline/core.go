@@ -277,6 +277,11 @@ func (c *Core) Step() {
 	c.cycle++
 	c.commit()
 	if c.halted {
+		// The halting cycle is the one where the machine drains, so it is
+		// checked too: a leftover undo-journal record only shows here.
+		if c.cfg.SelfCheck {
+			c.mustCheckInvariants()
+		}
 		return
 	}
 	c.writeback()
@@ -287,14 +292,20 @@ func (c *Core) Step() {
 	c.dispatch()
 	c.fetch()
 	if c.cfg.SelfCheck {
-		if err := c.CheckInvariants(); err != nil {
-			panic(fmt.Sprintf("pipeline: invariant violated at cycle %d: %v", c.cycle, err))
-		}
+		c.mustCheckInvariants()
 	}
 	c.Stats.Cycles = c.cycle
 	if c.met != nil {
 		c.met.robOcc.Observe(uint64(c.rob.len()))
 		c.met.iqOcc.Observe(uint64(len(c.iq)))
+	}
+}
+
+// mustCheckInvariants runs CheckInvariants (Config.SelfCheck mode) and
+// panics on a violation.
+func (c *Core) mustCheckInvariants() {
+	if err := c.CheckInvariants(); err != nil {
+		panic(fmt.Sprintf("pipeline: invariant violated at cycle %d: %v", c.cycle, err))
 	}
 }
 

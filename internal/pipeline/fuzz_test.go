@@ -105,8 +105,8 @@ func randomProgram(seed uint64, bodyLen, iters int) *program.Program {
 
 // TestFuzzAgainstInterpreter is the correctness anchor: for many random
 // programs, the out-of-order core must reach exactly the architectural
-// state of the functional interpreter under every scheme, with and without
-// doppelganger loads.
+// state of the functional interpreter under every scheme, the undo-based
+// Cleanup included, with and without doppelganger loads.
 func TestFuzzAgainstInterpreter(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -119,7 +119,7 @@ func TestFuzzAgainstInterpreter(t *testing.T) {
 			t.Fatalf("seed %d: reference did not halt", seed)
 		}
 		refSum := ref.Checksum()
-		for _, scheme := range secure.Schemes() {
+		for _, scheme := range append(secure.Schemes(), secure.Cleanup) {
 			for _, ap := range []bool{false, true} {
 				cfg := DefaultConfig()
 				cfg.Scheme = scheme
@@ -150,7 +150,8 @@ func TestFuzzAgainstInterpreter(t *testing.T) {
 
 // TestFuzzSmallWindows re-runs a subset of random programs on a tiny
 // machine (small ROB/IQ/LQ/SQ, one load port) to stress structural-hazard
-// paths: stalls, full queues, and squash at every boundary.
+// paths: stalls, full queues, and squash at every boundary. SelfCheck runs
+// the invariant checker every cycle, Cleanup's journal clause included.
 func TestFuzzSmallWindows(t *testing.T) {
 	cfgSmall := DefaultConfig()
 	cfgSmall.ROBSize = 16
@@ -166,7 +167,7 @@ func TestFuzzSmallWindows(t *testing.T) {
 		p := randomProgram(uint64(seed)*31337, 10+seed, 50)
 		ref := program.Run(p, 5_000_000)
 		refSum := ref.Checksum()
-		for _, scheme := range secure.Schemes() {
+		for _, scheme := range append(secure.Schemes(), secure.Cleanup) {
 			for _, ap := range []bool{false, true} {
 				cfg := cfgSmall
 				cfg.Scheme = scheme

@@ -57,6 +57,20 @@ func BenchmarkRunWithMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkRunUnsafe is BenchmarkRunCleanup's like-for-like comparator:
+// the same program on the unprotected core Cleanup speculates like, so the
+// gap between the two is the cost of the undo journal alone.
+func BenchmarkRunUnsafe(b *testing.B) {
+	p := benchProgram(b)
+	cfg := sim.Config{Scheme: sim.Unsafe}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunCleanup measures the undo-journal path: Cleanup speculates
 // like the unsafe core but journals every speculative cache side effect
 // and rolls the hierarchy back on squash, so this gates the journaling
