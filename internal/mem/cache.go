@@ -11,6 +11,13 @@
 // exactly like ordinary accesses with *no* modifications to the hierarchy —
 // the only special mode is Delay-on-Miss's speculative probe, which is a
 // property of how the core issues requests, not of the caches themselves.
+//
+// A cache's storage grows with the sets a run fills, not with its capacity:
+// ways are allocated a chunk of consecutive sets at a time on the first fill
+// into the chunk, from segments that grow geometrically, so a fresh core and
+// a short run (a leakage gadget) cost in proportion to what they touch, and
+// a run that fills a whole level allocates each way once. Unfilled sets read
+// as all-invalid everywhere, including the fingerprints and checkpoints.
 package mem
 
 import "fmt"
@@ -68,14 +75,39 @@ type line struct {
 	readyAt uint64 // cycle the fill completes; hits require readyAt <= now
 }
 
+// chunkShift sizes the unit of allocation: a chunk is 1<<chunkShift
+// consecutive sets (all of them, in a cache with fewer sets).
+const chunkShift = 6
+
+// firstChunks is a cache's first segment of storage, in chunks. It holds a
+// leakage gadget's footprint (2–15 chunks of the default L2 and 4–15 of its
+// L3 for 99.7% of generated gadgets), so a short run allocates once per
+// level. Each later segment holds three times the chunks allocated before
+// it, capped at the rest of the level: storage is at most four times the
+// chunks a run fills (a gadget that fills 17 chunks of L3 allocates 64, not
+// all 256), the default L3 takes at most three segments (16, 48 and 192
+// chunks), and no way is ever copied or allocated twice.
+const firstChunks = 16
+
 // Cache is one set-associative, LRU-replacement cache level.
+//
+// Storage grows with the sets a run fills. chunks maps each chunk of
+// consecutive sets to its ways, nil until the chunk is first filled (every
+// way invalid). A chunk's ways are carved from the newest segment of
+// storage and stay where they are for the cache's lifetime. Only insert
+// (and Restore) allocates a chunk.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]line
-	setMask  uint64
-	tagShift uint
-	clock    uint64 // monotonically increasing recency stamp
-	rng      uint64 // xorshift64 victim-choice state (RandomReplacement only)
+	cfg        CacheConfig
+	chunks     [][]line
+	spare      []line // the newest segment's lines not yet given to a chunk
+	filled     int    // chunks allocated
+	ways       int
+	chunkShift uint   // log2 of the sets per chunk
+	chunkMask  uint64 // sets per chunk - 1
+	setMask    uint64
+	tagShift   uint
+	clock      uint64 // monotonically increasing recency stamp
+	rng        uint64 // xorshift64 victim-choice state (RandomReplacement only)
 
 	// Stats, by access class.
 	Accesses [numClasses]uint64
@@ -92,17 +124,16 @@ func NewCache(cfg CacheConfig) *Cache {
 	sets := cfg.Sets()
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, sets),
+		ways:    cfg.Ways,
 		setMask: uint64(sets - 1),
 		rng:     rngSeed,
 	}
 	for s := uint64(sets); s > 1; s >>= 1 {
 		c.tagShift++
 	}
-	backing := make([]line, sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
+	c.chunkShift = min(c.tagShift, chunkShift)
+	c.chunkMask = 1<<c.chunkShift - 1
+	c.chunks = make([][]line, sets>>c.chunkShift)
 	return c
 }
 
@@ -114,21 +145,58 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return la & c.setMask, la >> c.tagShift
 }
 
-func (c *Cache) find(addr uint64) *line {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			return &c.sets[set][i]
+// setWays returns the set's ways, or nil when its chunk was never filled.
+func (c *Cache) setWays(set uint64) []line {
+	chunk := c.chunks[set>>c.chunkShift]
+	if chunk == nil {
+		return nil
+	}
+	i := int(set&c.chunkMask) * c.ways
+	return chunk[i : i+c.ways : i+c.ways]
+}
+
+// fillChunk allocates the set's chunk, every way invalid, and returns the
+// set's ways. A new segment is allocated when the newest is used up.
+func (c *Cache) fillChunk(set uint64) []line {
+	chunkLines := int(c.chunkMask+1) * c.ways
+	if len(c.spare) == 0 {
+		n := min(len(c.chunks)-c.filled, max(firstChunks, 3*c.filled))
+		c.spare = make([]line, n*chunkLines)
+	}
+	c.chunks[set>>c.chunkShift] = c.spare[:chunkLines:chunkLines]
+	c.spare = c.spare[chunkLines:]
+	c.filled++
+	return c.setWays(set)
+}
+
+// way returns the line at journaled coordinates. Its chunk is allocated:
+// records are only made for ways a lookup found or insert filled.
+func (c *Cache) way(set, way int32) *line { return &c.setWays(uint64(set))[way] }
+
+// eachFilledSet calls fn, in set order, for every set of an allocated chunk;
+// every other set is all-invalid.
+func (c *Cache) eachFilledSet(fn func(set int, ways []line)) {
+	per := int(c.chunkMask) + 1
+	for k, chunk := range c.chunks {
+		if chunk == nil {
+			continue
+		}
+		for s := 0; s < per; s++ {
+			fn(k*per+s, chunk[s*c.ways:(s+1)*c.ways])
 		}
 	}
-	return nil
+}
+
+func (c *Cache) find(addr uint64) *line {
+	_, _, l := c.findWay(addr)
+	return l
 }
 
 // findWay is find, additionally reporting the way coordinates the rollback
 // journal validates against. way is -1 on a miss.
 func (c *Cache) findWay(addr uint64) (set, way int, l *line) {
 	s, tag := c.index(addr)
-	ws := c.sets[s]
+	ws := c.setWays(s)
 	for i := range ws {
 		if ws[i].valid && ws[i].tag == tag {
 			return int(s), i, &ws[i]
@@ -270,7 +338,10 @@ func (c *Cache) InsertDirtyInfo(addr uint64, readyAt uint64) (evicted uint64, wa
 // uniformly re-invalidates, un-refreshes, or reinstates.
 func (c *Cache) insert(addr, readyAt uint64, j *undoJournal, seq uint64) (evicted uint64, wasEvicted, evictedDirty bool) {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.setWays(set)
+	if ways == nil {
+		ways = c.fillChunk(set)
+	}
 	c.clock++
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -370,7 +441,7 @@ func (c *Cache) Fingerprint(now uint64) uint64 {
 		h ^= v
 		h *= prime
 	}
-	for si, set := range c.sets {
+	c.eachFilledSet(func(si int, set []line) {
 		valid := 0
 		for wi := range set {
 			if set[wi].valid {
@@ -402,7 +473,7 @@ func (c *Cache) Fingerprint(now uint64) uint64 {
 			}
 			mix(bits)
 		}
-	}
+	})
 	return h
 }
 
@@ -413,14 +484,14 @@ func (c *Cache) Fingerprint(now uint64) uint64 {
 // costs nothing on the access path.
 func (c *Cache) OccupiedSets() uint64 {
 	var bits uint64
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
+	c.eachFilledSet(func(si int, set []line) {
+		for wi := range set {
+			if set[wi].valid {
 				bits |= 1 << (uint(si) % 64)
 				break
 			}
 		}
-	}
+	})
 	return bits
 }
 

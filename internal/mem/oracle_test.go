@@ -92,7 +92,36 @@ func (o *oracleCache) invalidate(addr uint64) {
 // same randomized operation stream and requires identical observable
 // behaviour (hit/miss, presence, eviction effects).
 func TestCacheAgainstOracle(t *testing.T) {
-	cfg := CacheConfig{SizeBytes: 2048, Ways: 4, Latency: 5} // 8 sets
+	const addrSpace = 64 * 64 // 64 lines over 8 sets: heavy conflict traffic
+	driveAgainstOracle(t, CacheConfig{SizeBytes: 2048, Ways: 4, Latency: 5}, 200000,
+		func(_ int, next func(uint64) uint64) uint64 { return next(addrSpace) })
+}
+
+// TestCacheAgainstOracleAcrossStorageGrowth runs the oracle stream on a cache
+// with 64 chunks of storage, confined to 12 chunks for the first half (the
+// first segment) and spread over all of them for the second, so the stream
+// crosses the growth to the whole level with resident lines in it.
+func TestCacheAgainstOracleAcrossStorageGrowth(t *testing.T) {
+	cfg := CacheConfig{SizeBytes: 512 << 10, Ways: 2, Latency: 5} // 4096 sets
+	const steps = 200000
+	c := driveAgainstOracle(t, cfg, steps, func(step int, next func(uint64) uint64) uint64 {
+		chunks := uint64(12)
+		if step >= steps/2 {
+			chunks = uint64(cfg.Sets()) >> chunkShift
+		}
+		set := next(chunks)<<chunkShift | next(4)
+		return (next(6)*uint64(cfg.Sets()) + set) * LineSize
+	})
+	if c.filled <= firstChunks {
+		t.Fatalf("stream filled %d chunks; it must outgrow the %d-chunk first segment", c.filled, firstChunks)
+	}
+}
+
+// driveAgainstOracle drives a fresh cache and the naive model with the same
+// randomized operation stream over addresses drawn by pick, and requires
+// identical observable behaviour. It returns the cache for further checks.
+func driveAgainstOracle(t *testing.T, cfg CacheConfig, steps int, pick func(step int, next func(uint64) uint64) uint64) *Cache {
+	t.Helper()
 	c := NewCache(cfg)
 	o := newOracle(cfg)
 
@@ -105,10 +134,9 @@ func TestCacheAgainstOracle(t *testing.T) {
 	}
 
 	now := uint64(0)
-	const addrSpace = 64 * 64 // 64 lines over 8 sets: heavy conflict traffic
-	for step := 0; step < 200000; step++ {
+	for step := 0; step < steps; step++ {
 		now += next(3)
-		addr := next(addrSpace)
+		addr := pick(step, next)
 		switch next(10) {
 		case 0, 1, 2, 3: // access with LRU update
 			got := c.Access(addr, now, ClassDemand, true)
@@ -140,7 +168,7 @@ func TestCacheAgainstOracle(t *testing.T) {
 			o.touch(addr)
 		}
 		// Spot-check presence agreement on a random probe.
-		probe := next(addrSpace)
+		probe := pick(step, next)
 		if c.Present(probe) != o.present(probe) {
 			t.Fatalf("step %d: Present(%#x) disagrees with oracle", step, probe)
 		}
@@ -148,4 +176,5 @@ func TestCacheAgainstOracle(t *testing.T) {
 			t.Fatalf("step %d: Contains(%#x, %d) disagrees with oracle", step, probe, now)
 		}
 	}
+	return c
 }

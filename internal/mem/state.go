@@ -4,10 +4,11 @@ import "fmt"
 
 // This file defines the serializable snapshot of the memory hierarchy, used
 // by the checkpoint subsystem. The image is exact: every way of every set
-// (valid or not) with its raw LRU timestamp, the per-cache recency clocks,
-// the live MSHR file, and all traffic counters including the MSHR timeline
-// digest. Timestamps are absolute cycle numbers; they stay meaningful
-// because the core's cycle counter is restored alongside.
+// (valid or not; a never-filled set as zero ways) with its raw LRU
+// timestamp, the per-cache recency clocks, the live MSHR file, and all
+// traffic counters including the MSHR timeline digest. Timestamps are
+// absolute cycle numbers; they stay meaningful because the core's cycle
+// counter is restored alongside.
 
 // LineState is one cache way.
 type LineState struct {
@@ -38,7 +39,7 @@ type CacheState struct {
 func (c *Cache) State() *CacheState {
 	st := &CacheState{
 		Config:   c.cfg,
-		Lines:    make([]LineState, 0, c.cfg.Sets()*c.cfg.Ways),
+		Lines:    make([]LineState, c.cfg.Sets()*c.ways),
 		Clock:    c.clock,
 		Accesses: c.Accesses,
 		Hits:     c.Hits,
@@ -47,19 +48,21 @@ func (c *Cache) State() *CacheState {
 	if c.cfg.RandomReplacement {
 		st.Rng = c.rng
 	}
-	for _, set := range c.sets {
-		for _, l := range set {
-			st.Lines = append(st.Lines, LineState{
+	c.eachFilledSet(func(set int, ways []line) {
+		out := st.Lines[set*c.ways:]
+		for w, l := range ways {
+			out[w] = LineState{
 				Tag: l.tag, Valid: l.valid, Dirty: l.dirty,
 				LastUse: l.lastUse, ReadyAt: l.readyAt,
-			})
+			}
 		}
-	}
+	})
 	return st
 }
 
 // Restore overwrites the cache with a captured state. The state must have
-// been captured under an identical configuration.
+// been captured under an identical configuration. A never-filled chunk is
+// allocated only if the state holds a non-zero line in it.
 func (c *Cache) Restore(st *CacheState) error {
 	if st.Config != c.cfg {
 		return fmt.Errorf("cache: checkpoint config %+v does not match this core's %+v", st.Config, c.cfg)
@@ -67,15 +70,20 @@ func (c *Cache) Restore(st *CacheState) error {
 	if want := c.cfg.Sets() * c.cfg.Ways; len(st.Lines) != want {
 		return fmt.Errorf("cache: checkpoint has %d lines, cache holds %d", len(st.Lines), want)
 	}
-	i := 0
-	for _, set := range c.sets {
-		for w := range set {
-			l := st.Lines[i]
-			set[w] = line{
+	for set := 0; set*c.ways < len(st.Lines); set++ {
+		src := st.Lines[set*c.ways : (set+1)*c.ways]
+		dst := c.setWays(uint64(set))
+		if dst == nil {
+			if allZero(src) {
+				continue
+			}
+			dst = c.fillChunk(uint64(set))
+		}
+		for w, l := range src {
+			dst[w] = line{
 				tag: l.Tag, valid: l.Valid, dirty: l.Dirty,
 				lastUse: l.LastUse, readyAt: l.ReadyAt,
 			}
-			i++
 		}
 	}
 	c.clock = st.Clock
@@ -86,6 +94,17 @@ func (c *Cache) Restore(st *CacheState) error {
 		c.rng = st.Rng
 	}
 	return nil
+}
+
+// allZero reports whether every line is the zero LineState, the image of a
+// never-filled set.
+func allZero(ls []LineState) bool {
+	for _, l := range ls {
+		if l != (LineState{}) {
+			return false
+		}
+	}
+	return true
 }
 
 // MSHRState is one outstanding L1 miss.

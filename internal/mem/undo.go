@@ -191,7 +191,7 @@ func (j *undoJournal) rollbackAfter(h *Hierarchy, survivorSeq uint64) {
 func (j *undoJournal) undo(h *Hierarchy, r *undoRec) {
 	switch r.kind {
 	case undoFill:
-		l := &r.c.sets[r.set][r.way]
+		l := r.c.way(r.set, r.way)
 		if !l.valid || l.tag != r.tag || l.lastUse != r.stamp {
 			return // overwritten by a surviving fill; leave it
 		}
@@ -213,12 +213,12 @@ func (j *undoJournal) undo(h *Hierarchy, r *undoRec) {
 		if j.opts.SkipLRUUndo {
 			return // planted weakening: recency updates are not rolled back
 		}
-		l := &r.c.sets[r.set][r.way]
+		l := r.c.way(r.set, r.way)
 		if l.valid && l.tag == r.tag && l.lastUse == r.stamp {
 			l.lastUse = r.prev.lastUse
 		}
 	case undoDirty:
-		l := &r.c.sets[r.set][r.way]
+		l := r.c.way(r.set, r.way)
 		if l.valid && l.tag == r.tag {
 			l.dirty = r.prev.dirty
 		}

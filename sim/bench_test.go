@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"doppelganger/internal/leakcheck"
 	"doppelganger/sim"
 )
 
@@ -101,6 +102,22 @@ func BenchmarkRunFromCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunFromCheckpoint(context.Background(), p, cfg, ck); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObserveGadgetPair measures one leakcheck differential pair under
+// Cleanup with doppelganger loads: two fresh cores, a gadget run of a few
+// thousand cycles each, and two full observations. Core set-up and
+// observation capture dominate it, so its B/op gates cache storage that
+// scales with capacity instead of with the sets a run fills.
+func BenchmarkObserveGadgetPair(b *testing.B) {
+	p := leakcheck.Generate(1)
+	cfg := leakcheck.Config{Scheme: sim.Cleanup, AP: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := leakcheck.Check(context.Background(), p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

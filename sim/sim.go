@@ -1,6 +1,7 @@
 // Package sim is the public API of the doppelganger simulator: it composes
 // the out-of-order core, the memory hierarchy, the secure speculation
-// schemes (NDA-P, STT, Delay-on-Miss) and the doppelganger-load mechanism
+// schemes (the paper's NDA-P, STT and Delay-on-Miss, plus the extensions
+// NDA-S, STT-Spectre and Cleanup) and the doppelganger-load mechanism
 // from the paper "Doppelganger Loads: A Safe, Complexity-Effective
 // Optimization for Secure Speculation Schemes" (ISCA 2023).
 //
@@ -42,15 +43,15 @@ const (
 	Cleanup = secure.Cleanup
 )
 
-// ParseScheme maps a scheme name ("unsafe", "nda-p", "stt", "dom") to its
-// Scheme value.
+// ParseScheme maps a scheme name ("unsafe", "nda-p", "stt", "dom",
+// "nda-s", "stt-spectre", "cleanup") to its Scheme value.
 func ParseScheme(name string) (Scheme, error) { return secure.ParseScheme(name) }
 
 // Schemes lists the paper's evaluated schemes in evaluation order.
 func Schemes() []Scheme { return secure.Schemes() }
 
 // AllSchemes additionally includes this reproduction's extension variants
-// (nda-s, stt-spectre).
+// (nda-s, stt-spectre, cleanup).
 func AllSchemes() []Scheme { return secure.AllSchemes() }
 
 // Program is an executable program image (instructions plus initial state).
