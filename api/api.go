@@ -72,7 +72,7 @@ type SweepRequest struct {
 	// Workloads restricts the sweep (empty = the full suite).
 	Workloads []string `json:"workloads,omitempty"`
 	// Schemes restricts the sweep by name (empty = unsafe + the paper's
-	// three schemes).
+	// three schemes; "all" = every scheme including extensions).
 	Schemes []string `json:"schemes,omitempty"`
 	// AP is "both" (default), "on", or "off".
 	AP string `json:"ap,omitempty"`
@@ -143,8 +143,8 @@ type CheckpointResponse struct {
 // matrix.
 type LeakcheckRequest struct {
 	// Schemes restricts the matrix rows by scheme name (empty = unsafe +
-	// the paper's three schemes). Each scheme contributes a ±AP row pair
-	// unless AP narrows it.
+	// the paper's three schemes; "all" = every scheme). Each scheme
+	// contributes a ±AP row pair unless AP narrows it.
 	Schemes []string `json:"schemes,omitempty"`
 	// AP is "both" (default), "on", or "off".
 	AP string `json:"ap,omitempty"`
@@ -202,8 +202,8 @@ type LeakcheckResponse struct {
 // reports every minimized, deduplicated leak reproducer the budget found.
 type CampaignRequest struct {
 	// Schemes restricts the evaluated configs by scheme name (empty =
-	// unsafe + the paper's three schemes). Each scheme contributes a ±AP
-	// config pair unless AP narrows it.
+	// unsafe + the paper's three schemes; "all" = every scheme). Each
+	// scheme contributes a ±AP config pair unless AP narrows it.
 	Schemes []string `json:"schemes,omitempty"`
 	// AP is "both" (default), "on", or "off".
 	AP string `json:"ap,omitempty"`

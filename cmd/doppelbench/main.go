@@ -24,6 +24,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"doppelganger/internal/secure"
 )
 
 func main() {
@@ -64,7 +66,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.Concurrency, "concurrency", 4, "concurrent logical clients")
 	fs.Float64Var(&cfg.RPS, "rps", 0, "total request rate across clients (0 = as fast as possible)")
 	workloads := fs.String("workloads", "stream,pointer_chase,stencil", "comma-separated workload mix")
-	schemes := fs.String("schemes", "unsafe,nda-p,stt,dom", "comma-separated scheme mix")
+	schemes := fs.String("schemes", strings.Join(secure.Names(secure.Schemes()), ","), "comma-separated scheme mix")
 	fs.StringVar(&cfg.AP, "ap", "both", `address prediction: "both", "on" or "off"`)
 	fs.StringVar(&cfg.Scale, "scale", "test", `workload scale: "test" or "full"`)
 	fs.StringVar(&cfg.Client, "client", "doppelbench", "X-Doppel-Client prefix (per-goroutine suffix added)")
@@ -83,10 +85,8 @@ func parseFlags(args []string) (config, error) {
 	if len(cfg.Workloads) == 0 || len(cfg.Schemes) == 0 {
 		return config{}, fmt.Errorf("-workloads and -schemes must be non-empty")
 	}
-	switch cfg.AP {
-	case "both", "on", "off":
-	default:
-		return config{}, fmt.Errorf(`unknown -ap %q (want "both", "on" or "off")`, cfg.AP)
+	if _, _, err := secure.ParseMatrix(cfg.Schemes, cfg.AP); err != nil {
+		return config{}, err
 	}
 	return cfg, nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"fmt"
 	"net/http"
-	"strings"
 
 	"doppelganger/api"
 	"doppelganger/internal/campaign"
@@ -42,34 +40,12 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schemeNames := req.Schemes
-	if len(schemeNames) == 0 {
-		schemeNames = []string{"unsafe", "nda-p", "stt", "dom"}
-	}
-	var aps []bool
-	switch req.AP {
-	case "", "both":
-		aps = []bool{false, true}
-	case "off":
-		aps = []bool{false}
-	case "on":
-		aps = []bool{true}
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown ap %q (want \"both\", \"on\" or \"off\")", req.AP))
+	schemes, aps, err := secure.ParseMatrix(req.Schemes, req.AP)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var cfgs []leakcheck.Config
-	for _, name := range schemeNames {
-		scheme, err := secure.ParseScheme(strings.TrimSpace(name))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		for _, ap := range aps {
-			cfgs = append(cfgs, leakcheck.Config{Scheme: scheme, AP: ap})
-		}
-	}
+	cfgs := leakcheck.Configs(schemes, aps)
 	budget := clampCampaignBudget(req.Budget)
 
 	sum, err := campaign.Run(r.Context(), campaign.Options{

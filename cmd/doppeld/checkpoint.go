@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,11 +39,7 @@ func (s *server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schemeName := req.Scheme
-	if schemeName == "" {
-		schemeName = "unsafe"
-	}
-	scheme, err := sim.ParseScheme(schemeName)
+	scheme, err := sim.ParseScheme(cmp.Or(req.Scheme, sim.Unsafe.String()))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

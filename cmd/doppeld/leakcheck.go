@@ -1,10 +1,8 @@
 package main
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 
 	"doppelganger/api"
 	"doppelganger/internal/leakcheck"
@@ -30,34 +28,12 @@ func (s *server) handleLeakcheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schemeNames := req.Schemes
-	if len(schemeNames) == 0 {
-		schemeNames = []string{"unsafe", "nda-p", "stt", "dom"}
-	}
-	var aps []bool
-	switch req.AP {
-	case "", "both":
-		aps = []bool{false, true}
-	case "off":
-		aps = []bool{false}
-	case "on":
-		aps = []bool{true}
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown ap %q (want \"both\", \"on\" or \"off\")", req.AP))
+	schemes, aps, err := secure.ParseMatrix(req.Schemes, req.AP)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var cfgs []leakcheck.Config
-	for _, name := range schemeNames {
-		scheme, err := secure.ParseScheme(strings.TrimSpace(name))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		for _, ap := range aps {
-			cfgs = append(cfgs, leakcheck.Config{Scheme: scheme, AP: ap})
-		}
-	}
+	cfgs := leakcheck.Configs(schemes, aps)
 	seeds := req.Seeds
 	if seeds <= 0 {
 		seeds = defaultLeakcheckSeeds

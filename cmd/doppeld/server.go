@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 
 	"doppelganger/api"
 	"doppelganger/internal/engine"
+	"doppelganger/internal/secure"
 	"doppelganger/internal/workload"
 	"doppelganger/sim"
 )
@@ -137,11 +139,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schemeName := req.Scheme
-	if schemeName == "" {
-		schemeName = "unsafe"
-	}
-	scheme, err := sim.ParseScheme(schemeName)
+	scheme, err := sim.ParseScheme(cmp.Or(req.Scheme, sim.Unsafe.String()))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -267,28 +265,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
-	schemeNames := req.Schemes
-	if len(schemeNames) == 0 {
-		schemeNames = []string{"unsafe", "nda-p", "stt", "dom"}
-	}
-	schemes := make([]sim.Scheme, len(schemeNames))
-	for i, n := range schemeNames {
-		if schemes[i], err = sim.ParseScheme(n); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	var aps []bool
-	switch req.AP {
-	case "", "both":
-		aps = []bool{false, true}
-	case "off":
-		aps = []bool{false}
-	case "on":
-		aps = []bool{true}
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown ap %q (want \"both\", \"on\" or \"off\")", req.AP))
+	schemes, aps, err := secure.ParseMatrix(req.Schemes, req.AP)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -300,9 +279,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		for i, scheme := range schemes {
+		for _, scheme := range schemes {
 			for _, ap := range aps {
-				cells = append(cells, api.SweepCell{Workload: name, Scheme: schemeNames[i], AP: ap})
+				cells = append(cells, api.SweepCell{Workload: name, Scheme: scheme.String(), AP: ap})
 				jobs = append(jobs, engine.Job{
 					Program: prog,
 					Config: sim.Config{

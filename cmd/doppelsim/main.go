@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"doppelganger/internal/engine"
+	"doppelganger/internal/secure"
 	"doppelganger/sim"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	var (
 		workloadName = flag.String("workload", "", "run a suite workload by name (see -list)")
 		file         = flag.String("file", "", "run an assembly file")
-		schemeName   = flag.String("scheme", "unsafe", "secure speculation scheme: unsafe, nda-p, stt, dom, nda-s, stt-spectre, cleanup")
+		schemeName   = flag.String("scheme", "unsafe", "secure speculation scheme: "+strings.Join(schemeNames(), ", "))
 		ap           = flag.Bool("ap", false, "enable doppelganger loads (address prediction)")
 		vp           = flag.Bool("vp", false, "enable DoM value prediction instead of doppelgangers")
 		apKind       = flag.String("predictor", "stride", "address predictor: stride, context, hybrid")
@@ -245,14 +246,7 @@ func buildCoreConfig(vp bool, apKind, bpKind string) (sim.CoreConfig, error) {
 }
 
 // schemeNames lists every accepted -scheme value, extensions included.
-func schemeNames() []string {
-	all := sim.AllSchemes()
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.String()
-	}
-	return names
-}
+func schemeNames() []string { return secure.Names(sim.AllSchemes()) }
 
 // openOut resolves an output destination: "-" is stdout (with a no-op
 // closer), anything else is created as a file.

@@ -18,11 +18,12 @@
 //	leakcheck -campaign -schemes 'dom!dom-issue-miss' # hunt a planted weakening
 //	leakcheck -campaign -schemes 'cleanup!cleanup-no-lru-undo' # hunt a broken rollback
 //
-// Exit status: 0 when every expectation holds (secure schemes silent, the
-// unsafe baseline divergent, every planted mutation caught — in contract
-// mode: the measured matrix matches the golden and every mutation
-// downgrades at least one cell; in campaign mode: no unmutated secure
-// config leaks), 1 when any fails, 2 on usage or infrastructure errors.
+// Exit status: 0 when every expectation holds (secure schemes silent on the
+// gadgets their threat model covers, the unsafe baseline divergent, every
+// planted mutation caught — in contract mode: the measured matrix matches
+// the golden and every mutation downgrades at least one cell; in campaign
+// mode: no unmutated secure config leaks), 1 when any fails, 2 on usage or
+// infrastructure errors.
 package main
 
 import (
@@ -54,7 +55,7 @@ func main() {
 		seeds        = flag.Int("seeds", 256, "number of gadget seeds to sweep per config")
 		firstSeed    = flag.Int64("first", 0, "first seed of the sweep")
 		oneSeed      = flag.Int64("seed", -1, "check a single seed (prints its disassembly); overrides -seeds/-first")
-		schemes      = flag.String("schemes", "unsafe,nda-p,stt,dom,cleanup", "comma-separated schemes to sweep; scheme!mutation plants a gauntlet weakening")
+		schemes      = flag.String("schemes", strings.Join(secure.Names(secure.AllSchemes()), ","), "comma-separated schemes to sweep; scheme!mutation plants a gauntlet weakening")
 		apMode       = flag.String("ap", "both", "doppelganger loads: on, off or both")
 		mutations    = flag.Bool("mutations", true, "also run the mutation gauntlet (planted scheme weakenings must be caught)")
 		mutSeeds     = flag.Int("mutation-seeds", 64, "max seeds to hunt per planted mutation")
@@ -131,7 +132,7 @@ func main() {
 // scheduler-chosen gadget genomes, persist (and resume) the corpus when a
 // path is given, and emit the summary as an api.CampaignResponse. The
 // security expectation is the same as a sweep's: an unmutated secure
-// config must not leak.
+// config must not leak on a gadget its threat model covers.
 func runCampaign(ctx context.Context, cfgs []leakcheck.Config,
 	budget int, seed int64, corpusPath string, blind, jsonOut bool) {
 	opts := campaign.Options{
@@ -171,7 +172,7 @@ func runCampaign(ctx context.Context, cfgs []leakcheck.Config,
 			Clauses:    lk.Clauses,
 			Key:        lk.Key,
 		})
-		if lk.Config.Secure() {
+		if lk.Config.Defends(lk.Params.Kind) {
 			failures = append(failures,
 				fmt.Sprintf("SECURITY: %s leaks via %s (%s)",
 					lk.Config, strings.Join(lk.Components, ","), lk.Params))
@@ -196,7 +197,7 @@ func runCampaign(ctx context.Context, cfgs []leakcheck.Config,
 			fmt.Println("FAIL:", f)
 		}
 		if len(failures) == 0 {
-			fmt.Println("ok: no unmutated secure config leaks")
+			fmt.Println("ok: no unmutated secure config leaks within its threat model")
 		}
 	}
 	if len(failures) > 0 {
@@ -411,24 +412,13 @@ type mutationReport struct {
 }
 
 func parseConfigs(schemes, apMode string) ([]leakcheck.Config, error) {
-	var aps []bool
-	switch apMode {
-	case "both":
-		aps = []bool{false, true}
-	case "off":
-		aps = []bool{false}
-	case "on":
-		aps = []bool{true}
-	default:
-		return nil, fmt.Errorf("invalid -ap %q (want on, off or both)", apMode)
-	}
 	var cfgs []leakcheck.Config
 	for _, name := range strings.Split(schemes, ",") {
 		// "scheme!mutation" plants one of the gauntlet's deliberate
 		// weakenings into the scheme (the config the campaign hunts in
 		// TestCampaignFindsAllPlantedMutations); bare names stay intact.
 		name, mutName, mutated := strings.Cut(strings.TrimSpace(name), "!")
-		s, err := secure.ParseScheme(name)
+		ss, aps, err := secure.ParseMatrix([]string{name}, apMode)
 		if err != nil {
 			return nil, err
 		}
@@ -438,12 +428,10 @@ func parseConfigs(schemes, apMode string) ([]leakcheck.Config, error) {
 				return nil, err
 			}
 		}
-		for _, ap := range aps {
-			cfgs = append(cfgs, leakcheck.Config{Scheme: s, AP: ap, Mutation: mut})
+		for _, c := range leakcheck.Configs(ss, aps) {
+			c.Mutation = mut
+			cfgs = append(cfgs, c)
 		}
-	}
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("no schemes selected")
 	}
 	return cfgs, nil
 }
@@ -472,7 +460,7 @@ func printText(rep report) {
 	}
 	printMutations(rep)
 	if rep.OK {
-		fmt.Println("ok: secure schemes silent, unsafe baseline divergent, all mutations caught")
+		fmt.Println("ok: secure schemes silent within their threat models, unsafe baseline divergent, all mutations caught")
 		return
 	}
 	for _, f := range rep.Failures {

@@ -1,7 +1,7 @@
 // Threat-model tour: runs one dependent-load workload under every scheme
-// variant in the repository — the paper's three schemes plus the strict-NDA
-// and Spectre-model-STT extensions — and under both recovery mechanisms
-// (doppelganger loads vs. DoM value prediction).
+// variant in the repository — the paper's three schemes plus the strict-NDA,
+// Spectre-model-STT and undo-based Cleanup extensions — and under both
+// recovery mechanisms (doppelganger loads vs. DoM value prediction).
 //
 //	go run ./examples/threatmodels
 package main
@@ -24,28 +24,18 @@ func main() {
 		label string
 		cfg   sim.Config
 	}
-	mk := func(scheme sim.Scheme, ap bool) sim.Config {
-		return sim.Config{Scheme: scheme, AddressPrediction: ap}
+	// Every scheme the simulator ships, with and without doppelganger
+	// loads, then DoM's value-prediction alternative.
+	var rows []row
+	for _, s := range sim.AllSchemes() {
+		rows = append(rows, row{s.String(), sim.Config{Scheme: s}})
+		if s != sim.Unsafe {
+			rows = append(rows, row{s.String() + " + doppelganger", sim.Config{Scheme: s, AddressPrediction: true}})
+		}
 	}
-	vpCfg := func() sim.Config {
-		cc := sim.DefaultCoreConfig()
-		cc.ValuePrediction = true
-		return sim.Config{Scheme: sim.DoM, Core: &cc}
-	}
-	rows := []row{
-		{"unsafe baseline", mk(sim.Unsafe, false)},
-		{"nda-p", mk(sim.NDAP, false)},
-		{"nda-p + doppelganger", mk(sim.NDAP, true)},
-		{"nda-s (strict)", mk(sim.NDAS, false)},
-		{"nda-s + doppelganger", mk(sim.NDAS, true)},
-		{"stt (futuristic)", mk(sim.STT, false)},
-		{"stt + doppelganger", mk(sim.STT, true)},
-		{"stt-spectre", mk(sim.STTSpectre, false)},
-		{"stt-spectre + doppelganger", mk(sim.STTSpectre, true)},
-		{"dom", mk(sim.DoM, false)},
-		{"dom + doppelganger", mk(sim.DoM, true)},
-		{"dom + value prediction", vpCfg()},
-	}
+	vp := sim.DefaultCoreConfig()
+	vp.ValuePrediction = true
+	rows = append(rows, row{"dom + value prediction", sim.Config{Scheme: sim.DoM, Core: &vp}})
 
 	fmt.Println("One workload (the gated dependent gather), every protection level.")
 	fmt.Println("Stronger threat models cost more; doppelganger loads recover MLP")
@@ -71,4 +61,5 @@ func main() {
 	fmt.Println("  nda-p        blocks all speculative propagation of loaded values")
 	fmt.Println("  nda-s        strict: values release only at the head of the window")
 	fmt.Println("  dom          hides the memory hierarchy, protects register secrets")
+	fmt.Println("cleanup sits outside this order: it undoes speculative cache changes on squash.")
 }

@@ -317,7 +317,7 @@ func (c *Coordinator) runSweep(r *http.Request, cells []JobSpec, emit func(v any
 			summary.Errors++
 		} else {
 			summary.Sources[o.source]++
-			if (spec.Scheme == "unsafe" || spec.Scheme == "") && !spec.AP {
+			if spec.Scheme == sim.Unsafe.String() && !spec.AP {
 				base[spec.Workload] = o.res.Cycles
 			}
 		}

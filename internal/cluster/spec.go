@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
 
 	"doppelganger/internal/engine"
+	"doppelganger/internal/secure"
 	"doppelganger/internal/workload"
 	"doppelganger/sim"
 )
@@ -77,11 +79,7 @@ func (s JobSpec) Resolve() (engine.Job, error) {
 	if err != nil {
 		return engine.Job{}, err
 	}
-	schemeName := s.Scheme
-	if schemeName == "" {
-		schemeName = "unsafe"
-	}
-	scheme, err := sim.ParseScheme(schemeName)
+	scheme, err := sim.ParseScheme(cmp.Or(s.Scheme, sim.Unsafe.String()))
 	if err != nil {
 		return engine.Job{}, err
 	}
@@ -128,36 +126,18 @@ func (s SweepSpec) Cells() ([]JobSpec, error) {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
-	schemeNames := s.Schemes
-	switch {
-	case len(schemeNames) == 0:
-		schemeNames = []string{"unsafe", "nda-p", "stt", "dom"}
-	case len(schemeNames) == 1 && schemeNames[0] == "all":
-		all := sim.AllSchemes()
-		schemeNames = make([]string, len(all))
-		for i, sc := range all {
-			schemeNames[i] = sc.String()
-		}
+	schemes, aps, err := secure.ParseMatrix(s.Schemes, s.AP)
+	if err != nil {
+		return nil, err
 	}
-	var aps []bool
-	switch s.AP {
-	case "", "both":
-		aps = []bool{false, true}
-	case "off":
-		aps = []bool{false}
-	case "on":
-		aps = []bool{true}
-	default:
-		return nil, fmt.Errorf("unknown ap %q (want \"both\", \"on\" or \"off\")", s.AP)
-	}
-	cells := make([]JobSpec, 0, len(names)*len(schemeNames)*len(aps))
+	cells := make([]JobSpec, 0, len(names)*len(schemes)*len(aps))
 	for _, name := range names {
-		for _, scheme := range schemeNames {
+		for _, scheme := range schemes {
 			for _, ap := range aps {
 				cells = append(cells, JobSpec{
 					Workload:  name,
 					Scale:     s.Scale,
-					Scheme:    scheme,
+					Scheme:    scheme.String(),
 					AP:        ap,
 					MaxInsts:  s.MaxInsts,
 					MaxCycles: s.MaxCycles,

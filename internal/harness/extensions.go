@@ -28,46 +28,32 @@ func RunExtensions(workloadName string, scale workload.Scale, runOpts ...sim.Run
 	}
 	prog := w.Build(scale)
 
-	type cfgGen struct {
+	type config struct {
 		label string
-		make  func() sim.Config
+		cfg   sim.Config
 	}
-	plain := func(s secure.Scheme, ap bool) func() sim.Config {
-		return func() sim.Config { return sim.Config{Scheme: s, AddressPrediction: ap} }
-	}
-	withCore := func(s secure.Scheme, ap bool, mutate func(*pipeline.Config)) func() sim.Config {
-		return func() sim.Config {
-			cc := sim.DefaultCoreConfig()
-			mutate(&cc)
-			return sim.Config{Scheme: s, AddressPrediction: ap, Core: &cc}
+	// Every registry scheme ±AP (the baseline, which defends nothing, -AP
+	// only), then the DoM core-config variants.
+	var cfgs []config
+	for _, s := range secure.AllSchemes() {
+		cfgs = append(cfgs, config{s.String(), sim.Config{Scheme: s}})
+		if s.Info().Threat != 0 {
+			cfgs = append(cfgs, config{s.String() + "+AP", sim.Config{Scheme: s, AddressPrediction: true}})
 		}
 	}
-	gens := []cfgGen{
-		{"unsafe", plain(secure.Unsafe, false)},
-		{"nda-p", plain(secure.NDAP, false)},
-		{"nda-p+AP", plain(secure.NDAP, true)},
-		{"nda-s", plain(secure.NDAS, false)},
-		{"nda-s+AP", plain(secure.NDAS, true)},
-		{"stt", plain(secure.STT, false)},
-		{"stt+AP", plain(secure.STT, true)},
-		{"stt-spectre", plain(secure.STTSpectre, false)},
-		{"stt-spectre+AP", plain(secure.STTSpectre, true)},
-		{"cleanup", plain(secure.Cleanup, false)},
-		{"cleanup+AP", plain(secure.Cleanup, true)},
-		{"dom", plain(secure.DoM, false)},
-		{"dom+AP", plain(secure.DoM, true)},
-		{"dom+VP", withCore(secure.DoM, false, func(c *pipeline.Config) { c.ValuePrediction = true })},
-		{"dom+AP-hybrid", withCore(secure.DoM, true, func(c *pipeline.Config) {
-			c.AddressPredictorKind = pipeline.PredictorHybrid
-		})},
-	}
-	rows := make([]ExtensionRow, 0, len(gens))
-	for _, g := range gens {
-		res, err := sim.RunContext(context.Background(), prog, g.make(), runOpts...)
+	vp, hybrid := sim.DefaultCoreConfig(), sim.DefaultCoreConfig()
+	vp.ValuePrediction = true
+	hybrid.AddressPredictorKind = pipeline.PredictorHybrid
+	cfgs = append(cfgs,
+		config{"dom+VP", sim.Config{Scheme: secure.DoM, Core: &vp}},
+		config{"dom+AP-hybrid", sim.Config{Scheme: secure.DoM, AddressPrediction: true, Core: &hybrid}})
+	rows := make([]ExtensionRow, 0, len(cfgs))
+	for _, c := range cfgs {
+		res, err := sim.RunContext(context.Background(), prog, c.cfg, runOpts...)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ExtensionRow{Label: g.label, Result: res})
+		rows = append(rows, ExtensionRow{Label: c.label, Result: res})
 	}
 	return rows, nil
 }

@@ -18,9 +18,9 @@ import (
 	"doppelganger/sim"
 )
 
-// Schemes evaluated in figure order: the paper's three delay-based
-// schemes, then the undo-based Cleanup point of comparison.
-var Schemes = []secure.Scheme{secure.NDAP, secure.STT, secure.DoM, secure.Cleanup}
+// Schemes evaluated in figure order (the registry's Figures rows): the
+// paper's three delay-based schemes, then the undo-based Cleanup.
+var Schemes = secure.Select(func(i secure.Info) bool { return i.Figures })
 
 // Key identifies one cell of the experiment matrix.
 type Key struct {

@@ -13,23 +13,19 @@ import (
 // TestContractMatrixGolden pins the measured per-scheme contract matrix:
 // the unsafe baseline leaks exactly under ct-spec (its committed traces and
 // architectural results are secret-independent — only transiently performed
-// accesses differ), and every intact secure scheme, with and without
-// doppelganger loads, satisfies the entire lattice. The golden file is the
-// same one CI diffs via `leakcheck -contracts -golden`; regenerate with
+// accesses differ), every intact futuristic-model scheme, with and without
+// doppelganger loads, satisfies the entire lattice, and the Spectre-model
+// stt-spectre leaks ct-spec on store-bypass seeds, outside its threat model
+// (TestSpectreModelLeaksOnlyStoreBypass). The golden file is the same one
+// CI diffs via `leakcheck -contracts -golden`; regenerate with
 // -update-golden after an intentional contract change.
 //
-// The swept set is the CLI default: DefaultConfigs (the paper's four
-// schemes) plus the undo-based cleanup±ap rows. Cleanup stays out of
-// DefaultConfigs itself because the campaign inherits that list and its
-// genome space includes primed gadgets, where intact cleanup has a known
-// benign divergence mode (the LRU victim-perturbation residual) that must
-// not read as a security failure; the contract sweep's frozen Generate
-// stream is un-primed, so these rows are exact.
+// The swept set is the CLI default: every registry scheme ±ap. The cleanup
+// rows are exact because the frozen Generate stream is un-primed: intact
+// cleanup has a known benign divergence mode on primed gadgets (the LRU
+// victim-perturbation residual) that this stream never reaches.
 func TestContractMatrixGolden(t *testing.T) {
-	cfgs := DefaultConfigs()
-	for _, ap := range []bool{false, true} {
-		cfgs = append(cfgs, Config{Scheme: secure.Cleanup, AP: ap})
-	}
+	cfgs := Configs(secure.AllSchemes(), []bool{false, true})
 	results, err := ContractSweep(context.Background(), cfgs, 0, testSeeds, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)

@@ -44,20 +44,35 @@ func (c Config) String() string {
 // scheme with its protection intact. The unsafe baseline and every planted
 // mutation are expected to leak.
 func (c Config) Secure() bool {
-	return c.Scheme != secure.Unsafe && c.Mutation == secure.MutNone
+	return c.Scheme.Info().Threat != 0 && c.Mutation == secure.MutNone
 }
 
-// DefaultConfigs is the full scheme matrix the checker sweeps:
-// {unsafe, NDA-P, STT, DoM} x {address prediction off, on}.
-func DefaultConfigs() []Config {
+// Defends reports whether the config must be leak-free on gadgets of kind
+// k: it is Secure and its scheme's threat model covers the speculation the
+// gadget exploits (stt-spectre's Spectre model excludes store bypass).
+func (c Config) Defends(k Kind) bool {
+	src := secure.ControlSpeculation // every other family mispredicts a branch
+	if k == KindStoreBypass {
+		src = secure.StoreSpeculation
+	}
+	return c.Secure() && c.Scheme.Info().Threat.Covers(src)
+}
+
+// Configs is the scheme matrix schemes x aps, scheme-major.
+func Configs(schemes []secure.Scheme, aps []bool) []Config {
 	var out []Config
-	for _, s := range secure.Schemes() {
-		for _, ap := range []bool{false, true} {
+	for _, s := range schemes {
+		for _, ap := range aps {
 			out = append(out, Config{Scheme: s, AP: ap})
 		}
 	}
 	return out
 }
+
+// DefaultConfigs is the scheme matrix the checker's library callers (the
+// campaign, the fuzz target, corpus replay) sweep: the registry's paper
+// schemes, {unsafe, NDA-P, STT, DoM} x {address prediction off, on}.
+func DefaultConfigs() []Config { return Configs(secure.Schemes(), []bool{false, true}) }
 
 // defaultMaxCycles bounds one gadget run. Gadgets are a few thousand
 // cycles; anything near this bound is a wedged machine, reported as an
@@ -176,13 +191,19 @@ type SweepResult struct {
 }
 
 // Verdict classifies the sweep result against the expectation that secure
-// configs never leak and the unsafe baseline always can. It returns a
-// non-empty failure description, or "" if the result is as expected.
+// configs never leak (on gadgets they Defend) and the unsafe baseline always
+// can. It returns a non-empty failure description, or "" if as expected.
 func (r SweepResult) Verdict() string {
+	var failing []SeedLeak
+	for _, sl := range r.Leaks {
+		if r.Config.Defends(sl.Leak.Params.Kind) {
+			failing = append(failing, sl)
+		}
+	}
 	switch {
-	case r.Config.Secure() && len(r.Leaks) > 0:
+	case len(failing) > 0:
 		return fmt.Sprintf("SECURITY: %d/%d seeds leak under %s (first: %s)",
-			len(r.Leaks), r.Seeds, r.Config, r.Leaks[0].Leak.String())
+			len(failing), r.Seeds, r.Config, failing[0].Leak.String())
 	case !r.Config.Secure() && len(r.Leaks) == 0:
 		return fmt.Sprintf("VACUOUS: %s leaked on 0/%d seeds — the oracle saw nothing",
 			r.Config, r.Seeds)

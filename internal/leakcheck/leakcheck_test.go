@@ -333,6 +333,42 @@ func TestSweepVerdictStrings(t *testing.T) {
 	}
 }
 
+// TestSpectreModelLeaksOnlyStoreBypass pins the threat-model split the
+// contracts paper predicts for stt-spectre: it taints only
+// control-speculative loads, so store-bypass gadgets leak under it while
+// every control-speculation gadget stays silent, and the sweep verdict
+// reads the store-bypass leaks as expected, not as failures.
+func TestSpectreModelLeaksOnlyStoreBypass(t *testing.T) {
+	cfgs := []Config{{Scheme: secure.STTSpectre}, {Scheme: secure.STTSpectre, AP: true}}
+	res, err := Sweep(context.Background(), cfgs, 0, testSeeds, runtime.GOMAXPROCS(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if len(r.Leaks) == 0 {
+			t.Errorf("%s: no store-bypass leak on %d seeds — the threat-model downgrade did not show", r.Config, r.Seeds)
+		}
+		for _, sl := range r.Leaks {
+			if k := sl.Leak.Params.Kind; k != KindStoreBypass {
+				t.Errorf("%s: seed %d (%s) leaks via %v", r.Config, sl.Seed, k, sl.Leak.Components)
+			}
+		}
+		if v := r.Verdict(); v != "" {
+			t.Errorf("%s: verdict %q, want store-bypass leaks accepted", r.Config, v)
+		}
+	}
+
+	// A control-speculation leak under the same scheme is a failure.
+	bounds := Generate(0)
+	if bounds.Kind != KindBoundsCheck {
+		t.Fatalf("seed 0 is %s, want a bounds-check gadget", bounds.Kind)
+	}
+	leak := SeedLeak{Leak: Leak{Params: bounds, Config: cfgs[0], Components: []string{"L1"}}}
+	if v := (SweepResult{Config: cfgs[0], Seeds: 1, Leaks: []SeedLeak{leak}}).Verdict(); !strings.Contains(v, "SECURITY") {
+		t.Errorf("bounds-check leak under stt-spectre: verdict %q, want SECURITY", v)
+	}
+}
+
 func TestDisassembleStable(t *testing.T) {
 	p := Generate(11)
 	d1, d2 := p.Disassemble(), p.Disassemble()
@@ -367,6 +403,15 @@ func TestConfigString(t *testing.T) {
 	}
 	if (Config{Scheme: secure.DoM, Mutation: secure.MutDoMIssueMiss}).Secure() {
 		t.Error("mutated DoM should not be Secure")
+	}
+	for _, s := range []secure.Scheme{secure.NDAP, secure.STT, secure.DoM, secure.NDAS, secure.Cleanup} {
+		if !(Config{Scheme: s}).Defends(KindStoreBypass) || !(Config{Scheme: s}).Defends(KindBranchPoison) {
+			t.Errorf("%s should defend every gadget kind", s)
+		}
+	}
+	spectre := Config{Scheme: secure.STTSpectre}
+	if !spectre.Secure() || spectre.Defends(KindStoreBypass) || !spectre.Defends(KindBoundsCheck) {
+		t.Error("stt-spectre should be Secure and defend control speculation only")
 	}
 }
 

@@ -206,7 +206,7 @@ func (c Config) Validate() error {
 		if c.AddressPrediction {
 			return fmt.Errorf("pipeline: value prediction and address prediction are mutually exclusive")
 		}
-		if c.Scheme != secure.DoM {
+		if !c.Scheme.DelaysOnMiss() {
 			return fmt.Errorf("pipeline: value prediction is a DoM optimization (got %v)", c.Scheme)
 		}
 		if err := c.Value.Validate(); err != nil {
@@ -231,5 +231,5 @@ func (c Config) Validate() error {
 // with doppelganger loads (§5.3) to close the implicit channels that
 // doppelganger misses would otherwise open.
 func (c Config) inOrderBranchResolution() bool {
-	return c.Scheme == secure.DoM && c.AddressPrediction
+	return c.Scheme.DelaysOnMiss() && c.AddressPrediction
 }

@@ -38,7 +38,7 @@ func TestFuzzRandomConfigurations(t *testing.T) {
 		cfg.MemDepPrediction = r.intn(2) == 0
 		cfg.ExceptionShadows = r.intn(2) == 0
 		cfg.SelfCheck = true
-		if cfg.Scheme == secure.DoM && !cfg.AddressPrediction && r.intn(2) == 0 {
+		if cfg.Scheme.DelaysOnMiss() && !cfg.AddressPrediction && r.intn(2) == 0 {
 			cfg.ValuePrediction = true
 		}
 

@@ -103,10 +103,14 @@ func randomProgram(seed uint64, bodyLen, iters int) *program.Program {
 	return b.MustBuild()
 }
 
+// fuzzSchemes is the scheme set both fuzz tests cover: the whole registry,
+// extensions included (TestRegistryComplete holds it to that).
+var fuzzSchemes = secure.AllSchemes()
+
 // TestFuzzAgainstInterpreter is the correctness anchor: for many random
 // programs, the out-of-order core must reach exactly the architectural
-// state of the functional interpreter under every scheme, the undo-based
-// Cleanup included, with and without doppelganger loads.
+// state of the functional interpreter under every registry scheme, with
+// and without doppelganger loads.
 func TestFuzzAgainstInterpreter(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -119,7 +123,7 @@ func TestFuzzAgainstInterpreter(t *testing.T) {
 			t.Fatalf("seed %d: reference did not halt", seed)
 		}
 		refSum := ref.Checksum()
-		for _, scheme := range append(secure.Schemes(), secure.Cleanup) {
+		for _, scheme := range fuzzSchemes {
 			for _, ap := range []bool{false, true} {
 				cfg := DefaultConfig()
 				cfg.Scheme = scheme
@@ -150,8 +154,9 @@ func TestFuzzAgainstInterpreter(t *testing.T) {
 
 // TestFuzzSmallWindows re-runs a subset of random programs on a tiny
 // machine (small ROB/IQ/LQ/SQ, one load port) to stress structural-hazard
-// paths: stalls, full queues, and squash at every boundary. SelfCheck runs
-// the invariant checker every cycle, Cleanup's journal clause included.
+// paths: stalls, full queues, and squash at every boundary, under every
+// registry scheme. SelfCheck runs the invariant checker every cycle,
+// Cleanup's journal clause included.
 func TestFuzzSmallWindows(t *testing.T) {
 	cfgSmall := DefaultConfig()
 	cfgSmall.ROBSize = 16
@@ -167,7 +172,7 @@ func TestFuzzSmallWindows(t *testing.T) {
 		p := randomProgram(uint64(seed)*31337, 10+seed, 50)
 		ref := program.Run(p, 5_000_000)
 		refSum := ref.Checksum()
-		for _, scheme := range append(secure.Schemes(), secure.Cleanup) {
+		for _, scheme := range fuzzSchemes {
 			for _, ap := range []bool{false, true} {
 				cfg := cfgSmall
 				cfg.Scheme = scheme

@@ -5,7 +5,6 @@ import (
 
 	"doppelganger/internal/mem"
 	"doppelganger/internal/obs"
-	"doppelganger/internal/secure"
 )
 
 // storeQueuePass advances store state each cycle: AGU results arrive, data
@@ -316,7 +315,7 @@ func (c *Core) realLoadBlocked(e *lqEntry) bool {
 	switch {
 	case c.cfg.Scheme.TracksTaint():
 		return c.taints.RootSpeculative(e.addrTaintRoot)
-	case c.cfg.Scheme == secure.DoM:
+	case c.cfg.Scheme.DelaysOnMiss():
 		return e.delayedMiss && c.speculative(e.u.seq)
 	default:
 		return false
@@ -333,7 +332,7 @@ func (c *Core) canIssueLoad(e *lqEntry) bool {
 			return false
 		}
 		return true
-	case c.cfg.Scheme == secure.DoM:
+	case c.cfg.Scheme.DelaysOnMiss():
 		if c.cfg.Mutation.DisablesDelayOnMiss() {
 			return true
 		}
@@ -373,7 +372,7 @@ func (c *Core) issueRealLoad(e *lqEntry, ports *int) {
 		return
 	}
 	opts := mem.AccessOptions{
-		DoMSpeculative: c.cfg.Scheme == secure.DoM && c.speculative(e.u.seq) &&
+		DoMSpeculative: c.cfg.Scheme.DelaysOnMiss() && c.speculative(e.u.seq) &&
 			!c.cfg.Mutation.DisablesDelayOnMiss(),
 	}
 	if c.undoOn {
@@ -541,15 +540,15 @@ func (c *Core) canPropagateLoad(e *lqEntry) bool {
 		// Planted weakening (leakcheck mutation mode): NDA's propagation
 		// delay is gone, values release as on the unsafe baseline.
 		return true
-	case c.cfg.Scheme == secure.NDAS:
+	case c.cfg.Scheme.PropagatesAtHead():
 		// Strict propagation: only the oldest in-flight instruction may
 		// release a loaded value.
 		return !c.rob.empty() && c.robEntries[c.rob.headIdx()].seq == e.u.seq
-	case c.cfg.Scheme == secure.NDAP:
+	case c.cfg.Scheme.DelaysPropagation():
 		// Speculatively loaded values never propagate until the load is
 		// bound to commit.
 		return !c.speculative(e.u.seq)
-	case c.cfg.Scheme == secure.DoM:
+	case c.cfg.Scheme.DelaysOnMiss():
 		// Values obtained via a doppelganger that missed in the L1 only
 		// propagate once non-speculative — matching when a conventional
 		// DoM load that missed would have produced them (§5.3). Hits and

@@ -6,7 +6,7 @@ import "fmt"
 // exist solely so the differential leakage checker (internal/leakcheck) can
 // prove its oracle has teeth: a planted weakening must be reported as a
 // leak. They must never be enabled outside tests and the leakcheck
-// mutation mode.
+// mutation mode. Each is planted by its target scheme's registry row.
 type Mutation uint8
 
 // The planted weakenings, one per protection mechanism.
@@ -40,21 +40,25 @@ const (
 	numMutations
 )
 
-var mutationNames = [numMutations]string{
-	MutNone:         "none",
-	MutNDAFreeProp:  "nda-free-prop",
-	MutSTTNoTaint:   "stt-no-taint",
-	MutDoMIssueMiss: "dom-issue-miss",
-	MutSpecTrain:    "spec-train",
-
-	MutCleanupNoLRUUndo:   "cleanup-no-lru-undo",
-	MutCleanupDropEvicted: "cleanup-drop-evicted",
-}
+// planted indexes the registry's mutations by value, with their targets.
+var planted = func() (out [numMutations]struct {
+	Planted
+	target Scheme
+}) {
+	out[MutNone].Name = "none"
+	for s := range registry {
+		for _, p := range registry[s].Mutations {
+			out[p.Mutation].Planted = p
+			out[p.Mutation].target = Scheme(s)
+		}
+	}
+	return out
+}()
 
 // String returns the mutation's short name.
 func (m Mutation) String() string {
-	if int(m) < len(mutationNames) {
-		return mutationNames[m]
+	if m < numMutations && planted[m].Name != "" {
+		return planted[m].Name
 	}
 	return fmt.Sprintf("mutation(%d)", uint8(m))
 }
@@ -64,8 +68,8 @@ func (m Mutation) Valid() bool { return m < numMutations }
 
 // ParseMutation maps a name (as produced by String) back to a Mutation.
 func ParseMutation(name string) (Mutation, error) {
-	for i, n := range mutationNames {
-		if n == name {
+	for i := range planted {
+		if planted[i].Name == name {
 			return Mutation(i), nil
 		}
 	}
@@ -74,8 +78,13 @@ func ParseMutation(name string) (Mutation, error) {
 
 // Mutations lists the planted weakenings (excluding MutNone).
 func Mutations() []Mutation {
-	return []Mutation{MutNDAFreeProp, MutSTTNoTaint, MutDoMIssueMiss, MutSpecTrain,
-		MutCleanupNoLRUUndo, MutCleanupDropEvicted}
+	var out []Mutation
+	for s := range registry {
+		for _, p := range registry[s].Mutations {
+			out = append(out, p.Mutation)
+		}
+	}
+	return out
 }
 
 // DisablesPropagationDelay reports whether NDA's propagation delay is
@@ -104,22 +113,8 @@ func (m Mutation) DropsEvictedLines() bool { return m == MutCleanupDropEvicted }
 // weaken: the scheme whose protection it removes, and whether address
 // prediction must be enabled for the weakening to be reachable.
 func (m Mutation) Target() (s Scheme, needAP bool) {
-	switch m {
-	case MutNDAFreeProp:
-		return NDAP, false
-	case MutSTTNoTaint:
-		return STT, false
-	case MutDoMIssueMiss:
-		return DoM, false
-	case MutSpecTrain:
-		// Speculative training only matters when the poisoned table is
-		// consulted, i.e. with doppelganger loads enabled; DoM is the
-		// scheme that lets a speculatively loaded value compute the
-		// wrong-path address that poisons the table (L1-hit propagation).
-		return DoM, true
-	case MutCleanupNoLRUUndo, MutCleanupDropEvicted:
-		return Cleanup, false
-	default:
-		return Unsafe, false
+	if m < numMutations {
+		return planted[m].target, planted[m].NeedAP
 	}
+	return Unsafe, false
 }

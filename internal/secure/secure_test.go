@@ -1,13 +1,25 @@
 package secure
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// TestSchemeNamesRoundTrip pins every registry scheme's and mutation's
+// numeric value and name: both are part of engine keys, checkpoints and
+// corpus records.
 func TestSchemeNamesRoundTrip(t *testing.T) {
-	for _, s := range Schemes() {
+	want := []string{"unsafe", "nda-p", "stt", "dom", "nda-s", "stt-spectre", "cleanup"}
+	all := AllSchemes()
+	if len(all) != len(want) {
+		t.Fatalf("AllSchemes() = %v, want %v", all, want)
+	}
+	for i, s := range all {
+		if s != Scheme(i) || s.String() != want[i] {
+			t.Errorf("scheme %d = %v %q, want %q", i, uint8(s), s, want[i])
+		}
 		got, err := ParseScheme(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
@@ -16,20 +28,93 @@ func TestSchemeNamesRoundTrip(t *testing.T) {
 	if _, err := ParseScheme("bogus"); err == nil {
 		t.Error("ParseScheme should reject unknown names")
 	}
-	if Scheme(99).Valid() {
+	if Scheme(99).Valid() || Scheme(len(want)).Valid() {
 		t.Error("out-of-range scheme should be invalid")
+	}
+
+	wantMut := []string{"none", "nda-free-prop", "stt-no-taint", "dom-issue-miss",
+		"spec-train", "cleanup-no-lru-undo", "cleanup-drop-evicted"}
+	for i, name := range wantMut {
+		m := Mutation(i)
+		if m.String() != name {
+			t.Errorf("mutation %d = %q, want %q", i, m, name)
+		}
+		if got, err := ParseMutation(name); err != nil || got != m {
+			t.Errorf("ParseMutation(%q) = %v, %v", name, got, err)
+		}
+	}
+	if Mutation(len(wantMut)).Valid() {
+		t.Error("out-of-range mutation should be invalid")
 	}
 }
 
+// TestSchemeFlags pins each scheme's capability row and mutation targets.
 func TestSchemeFlags(t *testing.T) {
-	if !NDAP.DelaysPropagation() || STT.DelaysPropagation() || DoM.DelaysPropagation() || Unsafe.DelaysPropagation() {
-		t.Error("DelaysPropagation must be NDA-P only")
+	type caps struct{ delay, head, taint, ctrl, miss, undo bool }
+	want := map[Scheme]caps{
+		Unsafe:     {},
+		NDAP:       {delay: true},
+		STT:        {taint: true},
+		DoM:        {miss: true},
+		NDAS:       {delay: true, head: true},
+		STTSpectre: {taint: true, ctrl: true},
+		Cleanup:    {undo: true},
 	}
-	if !STT.TracksTaint() || NDAP.TracksTaint() {
-		t.Error("TracksTaint must be STT only")
+	for _, s := range AllSchemes() {
+		got := caps{s.DelaysPropagation(), s.PropagatesAtHead(), s.TracksTaint(),
+			s.ControlOnlyTaint(), s.DelaysOnMiss(), s.UndoesSpeculation()}
+		if got != want[s] {
+			t.Errorf("%s capabilities = %+v, want %+v", s, got, want[s])
+		}
 	}
-	if !DoM.DelaysOnMiss() || STT.DelaysOnMiss() {
-		t.Error("DelaysOnMiss must be DoM only")
+	if Scheme(99).DelaysOnMiss() || Scheme(99).Info().Threat != 0 {
+		t.Error("an undefined scheme has no capabilities")
+	}
+	if Unsafe.Info().Threat != 0 || STTSpectre.Info().Threat != Spectre || DoM.Info().Threat != Futuristic {
+		t.Error("threat models: unsafe none, stt-spectre Spectre, dom futuristic")
+	}
+	if !Futuristic.Covers(StoreSpeculation) || Spectre.Covers(StoreSpeculation) || Spectre.Covers(0) {
+		t.Error("Threat.Covers")
+	}
+
+	targets := map[Mutation]struct {
+		s  Scheme
+		ap bool
+	}{
+		MutNone: {Unsafe, false}, MutNDAFreeProp: {NDAP, false}, MutSTTNoTaint: {STT, false},
+		MutDoMIssueMiss: {DoM, false}, MutSpecTrain: {DoM, true},
+		MutCleanupNoLRUUndo: {Cleanup, false}, MutCleanupDropEvicted: {Cleanup, false},
+	}
+	for m, w := range targets {
+		if s, ap := m.Target(); s != w.s || ap != w.ap {
+			t.Errorf("%s.Target() = %s, %v; want %s, %v", m, s, ap, w.s, w.ap)
+		}
+	}
+	if got := Mutations(); len(got) != len(targets)-1 {
+		t.Errorf("Mutations() = %v, want every planted mutation", got)
+	}
+}
+
+func TestParseMatrix(t *testing.T) {
+	ss, aps, err := ParseMatrix(nil, "")
+	if err != nil || !reflect.DeepEqual(ss, Schemes()) || !reflect.DeepEqual(aps, []bool{false, true}) {
+		t.Errorf("default selection = %v %v %v, want the paper's schemes ±AP", ss, aps, err)
+	}
+	if ss, _, err := ParseMatrix([]string{"all"}, "both"); err != nil || !reflect.DeepEqual(ss, AllSchemes()) {
+		t.Errorf(`"all" = %v %v, want every registry scheme`, ss, err)
+	}
+	ss, aps, err = ParseMatrix([]string{" dom", "stt-spectre "}, "on")
+	if err != nil || !reflect.DeepEqual(ss, []Scheme{DoM, STTSpectre}) || !reflect.DeepEqual(aps, []bool{true}) {
+		t.Errorf("explicit selection = %v %v %v", ss, aps, err)
+	}
+	if _, aps, _ := ParseMatrix(nil, "off"); !reflect.DeepEqual(aps, []bool{false}) {
+		t.Errorf(`ap "off" = %v`, aps)
+	}
+	if _, _, err := ParseMatrix([]string{"bogus"}, ""); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+	if _, _, err := ParseMatrix(nil, "sometimes"); err == nil {
+		t.Error("unknown ap mode accepted")
 	}
 }
 

@@ -43,8 +43,7 @@ const (
 	Cleanup = secure.Cleanup
 )
 
-// ParseScheme maps a scheme name ("unsafe", "nda-p", "stt", "dom",
-// "nda-s", "stt-spectre", "cleanup") to its Scheme value.
+// ParseScheme maps a scheme name (as listed by AllSchemes) to its value.
 func ParseScheme(name string) (Scheme, error) { return secure.ParseScheme(name) }
 
 // Schemes lists the paper's evaluated schemes in evaluation order.

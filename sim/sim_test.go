@@ -57,9 +57,13 @@ func TestRunMatchesInterpreter(t *testing.T) {
 }
 
 func TestParseScheme(t *testing.T) {
-	for _, name := range []string{"unsafe", "nda-p", "stt", "dom"} {
-		if _, err := sim.ParseScheme(name); err != nil {
-			t.Errorf("ParseScheme(%q): %v", name, err)
+	want := map[string]sim.Scheme{
+		"unsafe": sim.Unsafe, "nda-p": sim.NDAP, "stt": sim.STT, "dom": sim.DoM,
+		"nda-s": sim.NDAS, "stt-spectre": sim.STTSpectre, "cleanup": sim.Cleanup,
+	}
+	for name, s := range want {
+		if got, err := sim.ParseScheme(name); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, s)
 		}
 	}
 	if _, err := sim.ParseScheme("nope"); err == nil {
