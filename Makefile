@@ -48,20 +48,24 @@ cover:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t + 0 < m + 0) ? 1 : 0 }' || \
 		{ echo "coverage gate: FAIL: $$total% < $(COVER_MIN)%"; exit 1; }
 
+# Packages whose benchmarks the regression gate runs: the simulator's run
+# paths and the engine's job key.
+BENCH_PKGS = ./sim ./internal/engine
+
 # Benchmark-regression gate for the simulator hot path. Compares the gated
-# benchmarks (./sim, median of 6 counts) against the committed
+# benchmarks (BENCH_PKGS, median of 6 counts) against the committed
 # BENCH_baseline.json and fails on a >10% geomean slowdown or on any gated
 # benchmark's allocs/op or B/op growing past ALLOC_THRESHOLD. Absolute ns/op is
 # machine-dependent: after an intentional perf change, or when moving the
 # reference machine, refresh the baseline with `make benchbaseline` and
 # commit the resulting BENCH_baseline.json alongside the change.
 benchcheck:
-	$(GO) test -run '^$$' -bench . -benchmem -count=6 ./sim | \
+	$(GO) test -run '^$$' -bench . -benchmem -count=6 $(BENCH_PKGS) | \
 		$(GO) run ./cmd/benchcheck -baseline BENCH_baseline.json \
 			-threshold $(BENCH_THRESHOLD) -alloc-threshold $(ALLOC_THRESHOLD)
 
 benchbaseline:
-	$(GO) test -run '^$$' -bench . -benchmem -count=6 ./sim | \
+	$(GO) test -run '^$$' -bench . -benchmem -count=6 $(BENCH_PKGS) | \
 		$(GO) run ./cmd/benchcheck -write BENCH_baseline.json
 
 # Full benchmark sweep (paper figures included); informational, not a gate.

@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"doppelganger/sim"
@@ -87,10 +87,23 @@ func fingerprintProgram(w io.Writer, p *sim.Program) {
 		return
 	}
 	fmt.Fprintf(w, "prog|%s|entry=%d|code=%d|", p.Name, p.Entry, len(p.Code))
-	var buf [8]byte
+	addrs := make([]uint64, 0, len(p.InitMem))
+	for a := range p.InitMem {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	// The image is encoded as little-endian 64-bit words (five per
+	// instruction, then the registers, then address/value pairs) into one
+	// fixed-size buffer written out whenever it fills: few interface calls,
+	// and memory that does not grow with the image.
+	var buf [keyChunk]byte
+	b := buf[:0]
 	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		w.Write(buf[:])
+		if len(b) == len(buf) {
+			w.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	for _, in := range p.Code {
 		put(uint64(in.Op))
@@ -102,16 +115,16 @@ func fingerprintProgram(w io.Writer, p *sim.Program) {
 	for _, r := range p.InitRegs {
 		put(uint64(r))
 	}
-	addrs := make([]uint64, 0, len(p.InitMem))
-	for a := range p.InitMem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
 		put(a)
 		put(uint64(p.InitMem[a]))
 	}
+	w.Write(b)
 }
+
+// keyChunk is the size of fingerprintProgram's encoding buffer, a
+// multiple of the 8-byte word.
+const keyChunk = 32 << 10
 
 // fingerprintConfig writes a canonical encoding of the run configuration.
 // The core configuration is resolved first (nil Core means the default with

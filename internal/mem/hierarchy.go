@@ -129,6 +129,9 @@ type Hierarchy struct {
 	L3  *Cache
 
 	mshrs []mshr
+	// demand counts the non-prefetch entries of mshrs (the ones the
+	// L1MSHRs limit applies to), kept in step with every change to mshrs.
+	demand int
 	// nextExpire caches the earliest doneAt among live MSHRs (^uint64(0)
 	// when none), so the per-access expiry sweep is skipped until a fill
 	// actually completes instead of walking the file on every request.
@@ -259,6 +262,8 @@ func (h *Hierarchy) expire(now uint64) {
 			if m.doneAt < next {
 				next = m.doneAt
 			}
+		} else if !m.prefetch {
+			h.demand--
 		}
 	}
 	h.mshrs = live
@@ -279,17 +284,7 @@ func (h *Hierarchy) findMSHR(lineAddr uint64) (mshr, bool) {
 // now (prefetch fills excluded, as they do not count against the limit).
 func (h *Hierarchy) OutstandingMisses(now uint64) int {
 	h.expire(now)
-	return h.demandMSHRs()
-}
-
-func (h *Hierarchy) demandMSHRs() int {
-	n := 0
-	for _, m := range h.mshrs {
-		if !m.prefetch {
-			n++
-		}
-	}
-	return n
+	return h.demand
 }
 
 // AccessOptions modifies how a request is performed.
@@ -371,7 +366,7 @@ func (h *Hierarchy) Access(now, addr uint64, class Class, opts AccessOptions) Ac
 			h.countAccess(LevelL2)
 			return AccessResult{Latency: lat, Level: LevelL2, Merged: true}
 		}
-		if !opts.NoMSHR && !opts.Prefetch && h.demandMSHRs() >= h.cfg.L1MSHRs {
+		if !opts.NoMSHR && !opts.Prefetch && h.demand >= h.cfg.L1MSHRs {
 			h.RejectedMSHR++
 			if j != nil {
 				j.add(undoRec{seq: seq, kind: undoReject})
@@ -434,6 +429,9 @@ func (h *Hierarchy) Access(now, addr uint64, class Class, opts AccessOptions) Ac
 	}
 	if !opts.NoMSHR {
 		h.mshrs = append(h.mshrs, mshr{lineAddr: la, doneAt: fillAt, prefetch: opts.Prefetch})
+		if !opts.Prefetch {
+			h.demand++
+		}
 		if fillAt < h.nextExpire {
 			h.nextExpire = fillAt
 		}

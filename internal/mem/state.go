@@ -169,8 +169,12 @@ func (h *Hierarchy) Restore(st *HierarchyState) error {
 		return fmt.Errorf("L3: %w", err)
 	}
 	h.mshrs = h.mshrs[:0]
+	h.demand = 0
 	for _, m := range st.MSHRs {
 		h.mshrs = append(h.mshrs, mshr{lineAddr: m.LineAddr, doneAt: m.DoneAt, prefetch: m.Prefetch})
+		if !m.Prefetch {
+			h.demand++
+		}
 	}
 	h.nextExpire = st.NextExpire
 	h.DRAMAccesses = st.DRAMAccesses

@@ -238,6 +238,9 @@ func (j *undoJournal) undo(h *Hierarchy, r *undoRec) {
 			m := &h.mshrs[i]
 			if m.lineAddr == r.lineAddr && m.doneAt == r.doneAt && m.prefetch == r.prefetch {
 				h.mshrs = append(h.mshrs[:i], h.mshrs[i+1:]...)
+				if !r.prefetch {
+					h.demand--
+				}
 				break
 			}
 		}

@@ -409,3 +409,75 @@ func TestUndoRollbackAcrossCompaction(t *testing.T) {
 		t.Errorf("%d live records after rollback, want the %d that predate the epoch", h.UndoPending(), live)
 	}
 }
+
+// TestDemandMSHRCountMatchesRecount drives a random mix of demand,
+// prefetch and write accesses with expiry, partial rollbacks, retirement
+// and checkpoint restores, and checks after every step that the O(1)
+// demand-MSHR count equals a walk of the MSHR file.
+func TestDemandMSHRCountMatchesRecount(t *testing.T) {
+	recount := func(h *Hierarchy) int {
+		n := 0
+		for _, m := range h.mshrs {
+			if !m.prefetch {
+				n++
+			}
+		}
+		return n
+	}
+	h := undoHierarchy(UndoOptions{})
+	x := uint64(7) // xorshift64 stream
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	now, retired, restores, rejected := uint64(0), uint64(0), 0, uint64(0)
+	for seq := uint64(1); seq <= 20_000; seq++ {
+		now += next() % 24 // bursts of same-cycle requests and idle gaps
+		opts := AccessOptions{UndoSeq: seq}
+		switch next() % 8 {
+		case 0:
+			opts.Prefetch = true
+		case 1:
+			opts.Write, opts.NoMSHR = true, true
+		case 2:
+			opts.UndoSeq = 0 // committed traffic, never journaled
+		}
+		class := ClassDemand
+		if opts.Prefetch {
+			class = ClassPrefetch
+		}
+		h.Access(now, 0x10000+next()%1024*64, class, opts)
+		switch r := next() % 64; {
+		case r < 3:
+			h.RollbackAfter(max(retired, seq-next()%16))
+		case r < 24:
+			retired = max(retired, seq-next()%8)
+			h.RetireUpTo(retired)
+		case r == 63:
+			// Drain the journal, then continue on a hierarchy restored
+			// from this one's checkpoint, over misses of its own.
+			h.RetireUpTo(seq)
+			retired = seq
+			g := undoHierarchy(UndoOptions{})
+			g.Access(now, 0x90000, ClassDemand, AccessOptions{})
+			g.Access(now, 0x90040, ClassDemand, AccessOptions{})
+			if err := g.Restore(h.State()); err != nil {
+				t.Fatal(err)
+			}
+			h = g
+			restores++
+		}
+		if got, want := h.demand, recount(h); got != want {
+			t.Fatalf("step %d: demand count %d, recount %d", seq, got, want)
+		}
+		if h.OutstandingMisses(now) != recount(h) {
+			t.Fatalf("step %d: OutstandingMisses disagrees with a recount after expiry", seq)
+		}
+		rejected = h.RejectedMSHR
+	}
+	if restores == 0 || rejected == 0 {
+		t.Fatalf("scenario too tame: %d restores, %d MSHR rejections", restores, rejected)
+	}
+}

@@ -4,8 +4,9 @@ import "fmt"
 
 // CheckInvariants validates the machine's structural invariants: rename-map
 // consistency, physical-register accounting, queue cross-links, and
-// shadow-tracker agreement with the reorder buffer, and, under an undo
-// scheme, a drained rollback journal whenever the reorder buffer is empty.
+// shadow-tracker agreement with the reorder buffer, the issue and load
+// queues' wake structures, and, under an undo scheme, a drained rollback
+// journal whenever the reorder buffer is empty.
 // It returns the first violation found, or nil.
 //
 // With Config.SelfCheck set, Step runs this every cycle and panics on a
@@ -122,17 +123,70 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
-	// IQ entries must reference live ROB uops.
-	for _, u := range c.iq {
-		if u.seq > prevSeq || (c.rob.len() > 0 && u.seq < c.robEntries[c.rob.headIdx()].seq) {
-			return fmt.Errorf("iq holds stale uop seq %d", u.seq)
-		}
+	if err := c.checkWake(); err != nil {
+		return err
 	}
 
 	// Undo journal: with no instruction in flight, every journaled side
 	// effect has either retired (commit) or been rolled back (squash).
 	if c.undoOn && c.rob.empty() && c.hier.UndoPending() > 0 {
 		return fmt.Errorf("empty ROB but %d unretired undo-journal records", c.hier.UndoPending())
+	}
+	return nil
+}
+
+// checkWake validates the event-driven queues (wake.go). Issue queue: the
+// queued uops number iqLen, and one is in the ready set exactly when its
+// issue-time sources are all ready, its pending count matching the sources
+// it still waits on. Load queue: no entry that the next pass would skip —
+// neither awake nor due from the timing wheel — has a guard open at that
+// cycle, judged by loadWake's side-effect-free copy of the pass's guards.
+func (c *Core) checkWake() error {
+	queued := 0
+	for i := 0; i < c.rob.len(); i++ {
+		idx := c.rob.at(i)
+		u := &c.robEntries[idx]
+		if !u.queued {
+			if c.iqReady.has(idx) {
+				return fmt.Errorf("rob[%d] seq %d: in the ready set but not queued", i, u.seq)
+			}
+			continue
+		}
+		queued++
+		if u.issued {
+			return fmt.Errorf("rob[%d] seq %d: issued but still queued", i, u.seq)
+		}
+		if ready := c.ready(u); ready != c.iqReady.has(idx) {
+			return fmt.Errorf("rob[%d] seq %d: sources ready=%v but ready-set membership %v",
+				i, u.seq, ready, c.iqReady.has(idx))
+		}
+		waiting := 0
+		for k := 0; k < 2; k++ {
+			if u.linked&(1<<k) != 0 {
+				waiting++
+			}
+		}
+		if int(u.pending) != waiting {
+			return fmt.Errorf("rob[%d] seq %d: pending %d but linked on %d sources", i, u.seq, u.pending, waiting)
+		}
+	}
+	if queued != c.iqLen {
+		return fmt.Errorf("%d queued uops in the ROB but iqLen %d", queued, c.iqLen)
+	}
+	if c.halted {
+		return nil
+	}
+	next := c.cycle + 1
+	timers := c.timerSlot(next)
+	for i := 0; i < c.lq.len(); i++ {
+		idx := c.lq.at(i)
+		if c.lqAwake.has(idx) || timers.has(idx) {
+			continue
+		}
+		e := &c.lqEntries[idx]
+		if due, _, _ := c.loadWake(e, next); due {
+			return fmt.Errorf("lq[%d] seq %d: parked with work due at cycle %d", i, e.u.seq, next)
+		}
 	}
 	return nil
 }

@@ -17,6 +17,13 @@ import (
 // architectural) and their buffered speculative-trace folds apply.
 func (c *Core) commit() {
 	frontier := c.commitCycle()
+	if frontier != 0 && !c.rob.empty() {
+		// A load reaching the head may now release its value under the
+		// strict propagation rule.
+		if h := &c.robEntries[c.rob.headIdx()]; h.lqIdx >= 0 {
+			c.lqAwake.set(h.lqIdx)
+		}
+	}
 	if c.undoOn && frontier != 0 {
 		c.drainSpecAt(frontier)
 		c.hier.RetireUpTo(frontier)

@@ -53,7 +53,16 @@ type Core struct {
 	rob        ring
 	robEntries []uop
 
-	iq             []*uop // dispatch order
+	// The issue queue is event-driven (see DESIGN.md, "Wake, don't
+	// poll"): iqLen counts the queued uops, iqReady holds the ROB slots of
+	// those whose sources are all ready, and regWaiters heads, per
+	// physical register, the list of queued uops waiting on it (a link is
+	// ROB slot*2 + source index; -1 ends a list). markReady walks a list
+	// when its register becomes ready.
+	iqLen      int
+	iqReady    bitset
+	regWaiters []int32
+
 	inflightExec   []*uop // ALU executions awaiting completion
 	pendingResolve []*uop // branches awaiting resolution
 
@@ -62,8 +71,14 @@ type Core struct {
 	sq        ring
 	sqEntries []sqEntry
 
-	// Per-lq-entry wait on a specific store's data (0 = none).
-	// Kept in lqEntry via pendingStoreSeq; see memory.go.
+	// The load queue visits only the entries that can have work this
+	// cycle (see wake.go): lqAwake holds the LQ slots to visit in the next
+	// pass; lqTimers is a timing wheel of lqWheelSlots slot sets laid end
+	// to end, the one for cycle t released into lqAwake at t's pass;
+	// lqSpec holds slots parked until the oldest unresolved shadow moves.
+	lqAwake  bitset
+	lqSpec   bitset
+	lqTimers bitset
 
 	// backing is committed architectural memory.
 	backing *memImage
@@ -156,7 +171,17 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 	// Pre-size every structure the cycle loop appends to, so steady-state
 	// simulation never grows a slice: queue contents are bounded by the
 	// structure sizes (anything in flight occupies a ROB slot).
-	c.iq = make([]*uop, 0, cfg.IQSize)
+	c.regWaiters = make([]int32, nPhys)
+	for p := range c.regWaiters {
+		c.regWaiters[p] = -1
+	}
+	// One allocation holds every wake set: the ready set, then the load
+	// queue's awake set, shadow-parked set and timing wheel.
+	iqw, lqw := bitsetWords(cfg.ROBSize), bitsetWords(cfg.LQSize)
+	words := make(bitset, iqw+(2+lqWheelSlots)*lqw)
+	c.iqReady, words = words[:iqw:iqw], words[iqw:]
+	c.lqAwake, words = words[:lqw:lqw], words[lqw:]
+	c.lqSpec, c.lqTimers = words[:lqw:lqw], words[lqw:]
 	c.inflightExec = make([]*uop, 0, cfg.ROBSize)
 	c.pendingResolve = make([]*uop, 0, cfg.ROBSize)
 	c.fetchBuf = make([]fetched, 0, 2*cfg.DecodeWidth)
@@ -297,7 +322,7 @@ func (c *Core) Step() {
 	c.Stats.Cycles = c.cycle
 	if c.met != nil {
 		c.met.robOcc.Observe(uint64(c.rob.len()))
-		c.met.iqOcc.Observe(uint64(len(c.iq)))
+		c.met.iqOcc.Observe(uint64(c.iqLen))
 	}
 }
 
@@ -381,9 +406,13 @@ func (c *Core) free(p int) {
 // rename map and branch history, and redirects fetch to newPC.
 func (c *Core) squashAfter(survivorSeq, newPC, newHist uint64) {
 	for !c.rob.empty() {
-		u := &c.robEntries[c.rob.tailIdx()]
+		idx := c.rob.tailIdx()
+		u := &c.robEntries[idx]
 		if u.seq <= survivorSeq {
 			break
+		}
+		if u.queued {
+			c.dequeue(u, idx)
 		}
 		if u.dst != noReg {
 			c.renameMap[u.in.Dst] = u.oldDst
@@ -418,7 +447,6 @@ func (c *Core) squashAfter(survivorSeq, newPC, newHist uint64) {
 		c.dropSpecAfter(survivorSeq)
 	}
 	c.fetchHist = newHist
-	c.iq = filterYounger(c.iq, survivorSeq)
 	c.inflightExec = filterYounger(c.inflightExec, survivorSeq)
 	c.pendingResolve = filterYounger(c.pendingResolve, survivorSeq)
 	c.fetchBuf = c.fetchBuf[:0]

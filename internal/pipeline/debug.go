@@ -13,7 +13,7 @@ import (
 func (c *Core) DumpState(n int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cycle=%d committed=%d shadows=%d iq=%d lq=%d sq=%d pendResolve=%d\n",
-		c.cycle, c.Stats.Committed, c.shadows.Outstanding(), len(c.iq), c.lq.len(), c.sq.len(), len(c.pendingResolve))
+		c.cycle, c.Stats.Committed, c.shadows.Outstanding(), c.iqLen, c.lq.len(), c.sq.len(), len(c.pendingResolve))
 	if f, ok := c.shadows.Frontier(); ok {
 		fmt.Fprintf(&sb, "shadow frontier seq=%d\n", f)
 	}

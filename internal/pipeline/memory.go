@@ -29,7 +29,7 @@ func (c *Core) storeQueuePass() {
 		}
 		if e.u.castsShadow && !e.u.shadowResolved && e.addrValid && c.storeAddrSafe(e) {
 			e.u.shadowResolved = true
-			c.shadows.Resolve(e.u.seq)
+			c.resolveShadow(e.u.seq, false)
 			c.noteShadowClose(e.u)
 			if c.storeResolveScan(e) {
 				// A violation squash rewrote the young end of both
@@ -95,6 +95,7 @@ func (c *Core) storeResolveScan(s *sqEntry) bool {
 // overrideFromStore redirects an unpropagated load (or doppelganger
 // preload) to take its value from the given store.
 func (c *Core) overrideFromStore(l *lqEntry, s *sqEntry) {
+	c.lqAwake.set(l.u.lqIdx)
 	l.fwdStore = s.u.seq
 	l.storeForwarded = true
 	if s.dataValid {
@@ -136,169 +137,178 @@ func (c *Core) tryPendingStoreData(l *lqEntry) {
 	panic(fmt.Sprintf("pipeline: load %d waits on vanished store %d", l.u.seq, l.pendingStoreSeq))
 }
 
-// loadQueuePass advances every load through its lifecycle: address arrival,
-// doppelganger verification, real and doppelganger memory issue, value
-// arrival, and propagation — each gated by the active secure speculation
-// scheme.
+// loadQueuePass advances the awake loads through their lifecycle, oldest
+// first: address arrival, doppelganger verification, real and doppelganger
+// memory issue, value arrival, and propagation — each gated by the active
+// secure speculation scheme. After its visit a load parks until it next
+// has work (see park); parked loads cost nothing.
 func (c *Core) loadQueuePass() {
+	c.releaseTimers()
 	ports := c.cfg.LoadPorts
-	for i := 0; i < c.lq.len(); i++ {
-		e := &c.lqEntries[c.lq.at(i)]
-		if !e.valid {
-			continue
+	for off := c.lqAwake.nextIn(&c.lq, 0); off < c.lq.len(); off = c.lqAwake.nextIn(&c.lq, off+1) {
+		i := c.lq.at(off)
+		if c.visitLoad(&c.lqEntries[i], &ports) {
+			return // squashed from this load; fetch is redirected
 		}
-		u := e.u
+		c.park(i)
+	}
+}
 
-		// Fast path: a propagated load whose value is final has nothing
-		// left to do here — it is only waiting in the queue for commit.
-		// (A final value implies the address resolved and any pending
-		// store forwarding completed; invalidation marks only matter
-		// before propagation.)
-		if u.propagated && e.valueValid && e.pendingStoreSeq == 0 {
-			continue
-		}
+// visitLoad runs one load's lifecycle step for this cycle and reports
+// whether it squashed the pipeline from that load.
+func (c *Core) visitLoad(e *lqEntry, ports *int) (squashed bool) {
+	u := e.u
 
-		if e.addrPending && c.cycle >= e.addrValidAt {
-			e.addrPending = false
-			e.addrValid = true
-			if u.castsShadow && !u.shadowResolved {
-				// Exception shadow: lifted once the address translates.
-				u.shadowResolved = true
-				c.shadows.Resolve(u.seq)
-				c.noteShadowClose(u)
-			}
-			if c.cfg.Mutation.TrainsSpeculatively() {
-				// Planted weakening (leakcheck mutation mode): train the
-				// address predictor the moment the address resolves —
-				// speculatively, including wrong-path loads — instead of
-				// only at commit.
-				c.stride.Train(u.pc, e.addr)
-				if c.ctx != nil {
-					c.ctx.Train(u.pc, e.addr)
-				}
-			}
-		}
-		if e.pendingStoreSeq != 0 {
-			c.tryPendingStoreData(e)
-		}
+	// Fast path: a propagated load whose value is final has nothing
+	// left to do here — it is only waiting in the queue for commit.
+	// (A final value implies the address resolved and any pending
+	// store forwarding completed; invalidation marks only matter
+	// before propagation.)
+	if u.propagated && e.valueValid && e.pendingStoreSeq == 0 {
+		return false
+	}
 
-		// Doppelganger verification: compare the predicted address with
-		// the resolved one. The resolution of this implicit channel is
-		// delayed until the address is safe (untainted under STT); its
-		// effects (reissue, propagation) follow the per-scheme rules.
-		if e.predicted && e.addrValid && c.canVerify(e) {
-			e.predicted = false
-			if e.predAddr == e.addr {
-				e.verified = true
-				c.Stats.DoppVerified++
-				if c.tracing {
-					c.emit(obs.Event{Kind: obs.KindDoppVerify, Seq: u.seq, PC: u.pc, Addr: e.addr})
-				}
-			} else {
-				e.mispredicted = true
-				e.storeForwarded = false
-				e.pendingStoreSeq = 0
-				e.fwdStore = 0
-				c.Stats.DoppMispredicted++
-				if c.tracing {
-					c.emit(obs.Event{Kind: obs.KindDoppMispredict, Seq: u.seq, PC: u.pc,
-						Addr: e.addr, Aux: e.predAddr})
-				}
-			}
+	if e.addrPending && c.cycle >= e.addrValidAt {
+		e.addrPending = false
+		e.addrValid = true
+		if u.castsShadow && !u.shadowResolved {
+			// Exception shadow: lifted once the address translates.
+			u.shadowResolved = true
+			c.resolveShadow(u.seq, false)
+			c.noteShadowClose(u)
 		}
-
-		// Real-path memory issue: the prediction has been refuted, or was
-		// never made, or verified without a doppelganger access in flight
-		// to supply the value.
-		if !e.issued && !e.valueValid && !e.predicted && e.addrValid &&
-			!(e.verified && e.doppIssued) && c.canIssueLoad(e) {
-			c.issueRealLoad(e, &ports)
-		}
-
-		// Value arrival for the real path.
-		if e.issued && !e.valueValid && e.pendingStoreSeq == 0 && c.cycle >= e.valueAt {
-			e.valueValid = true
-			// DoM+VP validation: the speculatively propagated predicted
-			// value is compared against the real one; a mismatch squashes
-			// from the load (the rollback cost the paper's §2.3 cites).
-			if e.vpUsed {
-				if e.value == e.vpValue {
-					c.Stats.VPCorrect++
-				} else {
-					c.Stats.VPMispredicted++
-					c.squashAfter(u.seq-1, u.pc, u.hist)
-					return
-				}
-			}
-		}
-
-		// DoM+VP: a delayed miss may propagate a predicted *value*
-		// speculatively; the real access still happens (and validates)
-		// once the load is non-speculative.
-		if c.vp != nil && e.delayedMiss && !e.issued && !e.vpUsed && !u.propagated {
-			// The prediction fires later than dispatch, so rebase the
-			// occurrence by the instances that have committed since.
-			occ := e.occ - int(c.committedPC[u.pc]-e.commitBase)
-			if v, ok := c.vp.Predict(u.pc, occ); ok {
-				e.vpUsed = true
-				e.vpValue = v
-				c.Stats.VPPredictions++
-				c.regVal[u.dst] = v
-				c.regReady[u.dst] = true
-				u.result = v
-				u.propagated = true
-			}
-		}
-
-		// Doppelganger memory issue. A doppelganger stands in whenever the
-		// real access cannot proceed: its address is still unresolved, or
-		// the scheme blocks the real access (DoM's delayed miss, STT's
-		// tainted address). Real loads were given priority above — older
-		// entries and real issues consume ports first.
-		if c.cfg.AddressPrediction && e.hadPrediction && !e.doppIssued &&
-			!e.mispredicted && !e.issued && !e.valueValid && ports > 0 &&
-			(!e.addrValid || c.realLoadBlocked(e)) {
-			c.issueDoppelganger(e, &ports)
-		}
-
-		// Doppelganger preload arrival.
-		if e.doppIssued && !e.preloaded && c.cycle >= e.doppDoneAt {
-			e.preloaded = true
-		}
-
-		// Promote a verified preload to the load's final value.
-		if e.verified && !e.issued && e.preloaded && e.pendingStoreSeq == 0 && !e.valueValid {
-			e.value = e.preValue
-			e.level = e.doppLevel
-			e.valueValid = true
-			e.doppUsed = true
-		}
-
-		// Propagation: make the value architecturally visible to
-		// dependents, under the scheme's release rule.
-		if !u.propagated && e.valueValid && c.canPropagateLoad(e) {
-			if e.invalidated && mem.LineAddr(e.addr) == e.invalLine {
-				// §4.5: a snooped invalidation takes effect when the
-				// preloaded data would propagate; mispredicted
-				// doppelganger snoops were discarded at verification.
-				c.Stats.InvalidationSquashes++
-				c.squashAfter(u.seq-1, u.pc, u.hist)
-				return
-			}
-			if c.tracing {
-				c.emit(obs.Event{Kind: obs.KindLoadPropagate, Seq: u.seq, PC: u.pc,
-					Addr: e.addr, Value: e.value})
-			}
-			c.regVal[u.dst] = e.value
-			c.regReady[u.dst] = true
-			u.result = e.value
-			u.executed = true
-			u.propagated = true
-			if c.cfg.Scheme.TracksTaint() && !c.cfg.Mutation.DisablesTaint() {
-				c.taints.SetRoot(u.dst, u.seq)
+		if c.cfg.Mutation.TrainsSpeculatively() {
+			// Planted weakening (leakcheck mutation mode): train the
+			// address predictor the moment the address resolves —
+			// speculatively, including wrong-path loads — instead of
+			// only at commit.
+			c.stride.Train(u.pc, e.addr)
+			if c.ctx != nil {
+				c.ctx.Train(u.pc, e.addr)
 			}
 		}
 	}
+	if e.pendingStoreSeq != 0 {
+		c.tryPendingStoreData(e)
+	}
+
+	// Doppelganger verification: compare the predicted address with
+	// the resolved one. The resolution of this implicit channel is
+	// delayed until the address is safe (untainted under STT); its
+	// effects (reissue, propagation) follow the per-scheme rules.
+	if e.predicted && e.addrValid && c.canVerify(e) {
+		e.predicted = false
+		if e.predAddr == e.addr {
+			e.verified = true
+			c.Stats.DoppVerified++
+			if c.tracing {
+				c.emit(obs.Event{Kind: obs.KindDoppVerify, Seq: u.seq, PC: u.pc, Addr: e.addr})
+			}
+		} else {
+			e.mispredicted = true
+			e.storeForwarded = false
+			e.pendingStoreSeq = 0
+			e.fwdStore = 0
+			c.Stats.DoppMispredicted++
+			if c.tracing {
+				c.emit(obs.Event{Kind: obs.KindDoppMispredict, Seq: u.seq, PC: u.pc,
+					Addr: e.addr, Aux: e.predAddr})
+			}
+		}
+	}
+
+	// Real-path memory issue: the prediction has been refuted, or was
+	// never made, or verified without a doppelganger access in flight
+	// to supply the value.
+	if !e.issued && !e.valueValid && !e.predicted && e.addrValid &&
+		!(e.verified && e.doppIssued) && c.canIssueLoad(e) {
+		c.issueRealLoad(e, ports)
+	}
+
+	// Value arrival for the real path.
+	if e.issued && !e.valueValid && e.pendingStoreSeq == 0 && c.cycle >= e.valueAt {
+		e.valueValid = true
+		// DoM+VP validation: the speculatively propagated predicted
+		// value is compared against the real one; a mismatch squashes
+		// from the load (the rollback cost the paper's §2.3 cites).
+		if e.vpUsed {
+			if e.value == e.vpValue {
+				c.Stats.VPCorrect++
+			} else {
+				c.Stats.VPMispredicted++
+				c.squashAfter(u.seq-1, u.pc, u.hist)
+				return true
+			}
+		}
+	}
+
+	// DoM+VP: a delayed miss may propagate a predicted *value*
+	// speculatively; the real access still happens (and validates)
+	// once the load is non-speculative.
+	if c.vp != nil && e.delayedMiss && !e.issued && !e.vpUsed && !u.propagated {
+		// The prediction fires later than dispatch, so rebase the
+		// occurrence by the instances that have committed since.
+		occ := e.occ - int(c.committedPC[u.pc]-e.commitBase)
+		if v, ok := c.vp.Predict(u.pc, occ); ok {
+			e.vpUsed = true
+			e.vpValue = v
+			c.Stats.VPPredictions++
+			c.regVal[u.dst] = v
+			c.markReady(u.dst)
+			u.result = v
+			u.propagated = true
+		}
+	}
+
+	// Doppelganger memory issue. A doppelganger stands in whenever the
+	// real access cannot proceed: its address is still unresolved, or
+	// the scheme blocks the real access (DoM's delayed miss, STT's
+	// tainted address). Real loads were given priority above — older
+	// entries and real issues consume ports first.
+	if c.cfg.AddressPrediction && e.hadPrediction && !e.doppIssued &&
+		!e.mispredicted && !e.issued && !e.valueValid && *ports > 0 &&
+		(!e.addrValid || c.realLoadBlocked(e)) {
+		c.issueDoppelganger(e, ports)
+	}
+
+	// Doppelganger preload arrival.
+	if e.doppIssued && !e.preloaded && c.cycle >= e.doppDoneAt {
+		e.preloaded = true
+	}
+
+	// Promote a verified preload to the load's final value.
+	if e.verified && !e.issued && e.preloaded && e.pendingStoreSeq == 0 && !e.valueValid {
+		e.value = e.preValue
+		e.level = e.doppLevel
+		e.valueValid = true
+		e.doppUsed = true
+	}
+
+	// Propagation: make the value architecturally visible to
+	// dependents, under the scheme's release rule.
+	if !u.propagated && e.valueValid && c.canPropagateLoad(e) {
+		if e.invalidated && mem.LineAddr(e.addr) == e.invalLine {
+			// §4.5: a snooped invalidation takes effect when the
+			// preloaded data would propagate; mispredicted
+			// doppelganger snoops were discarded at verification.
+			c.Stats.InvalidationSquashes++
+			c.squashAfter(u.seq-1, u.pc, u.hist)
+			return true
+		}
+		if c.tracing {
+			c.emit(obs.Event{Kind: obs.KindLoadPropagate, Seq: u.seq, PC: u.pc,
+				Addr: e.addr, Value: e.value})
+		}
+		c.regVal[u.dst] = e.value
+		c.markReady(u.dst)
+		u.result = e.value
+		u.executed = true
+		u.propagated = true
+		if c.cfg.Scheme.TracksTaint() && !c.cfg.Mutation.DisablesTaint() {
+			c.taints.SetRoot(u.dst, u.seq)
+		}
+	}
+	return false
 }
 
 func (c *Core) canVerify(e *lqEntry) bool {

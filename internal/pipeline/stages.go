@@ -69,7 +69,7 @@ func (c *Core) dispatch() {
 		}
 		needsIQ := kind == isa.KindALU || kind == isa.KindLoad ||
 			kind == isa.KindStore || kind == isa.KindBranch
-		if needsIQ && len(c.iq) >= c.cfg.IQSize {
+		if needsIQ && c.iqLen >= c.cfg.IQSize {
 			break
 		}
 		if kind == isa.KindLoad && c.lq.full() {
@@ -120,18 +120,19 @@ func (c *Core) dispatch() {
 			u.propagated = true
 			u.resolved = true
 		case isa.KindALU:
-			c.iq = append(c.iq, u)
+			c.enqueue(u, idx)
 		case isa.KindBranch:
 			u.castsShadow = true
 			c.shadows.Add(u.seq)
 			c.ctrlShadows.Add(u.seq)
 			c.noteShadowOpen(u)
-			c.iq = append(c.iq, u)
+			c.enqueue(u, idx)
 		case isa.KindLoad:
 			li := c.lq.push()
 			u.lqIdx = li
 			e := &c.lqEntries[li]
 			*e = lqEntry{u: u, valid: true}
+			c.lqAwake.set(li)
 			if c.cfg.ExceptionShadows {
 				u.castsShadow = true
 				c.shadows.Add(u.seq)
@@ -151,7 +152,7 @@ func (c *Core) dispatch() {
 					c.Stats.DoppPredictions++
 				}
 			}
-			c.iq = append(c.iq, u)
+			c.enqueue(u, idx)
 		case isa.KindStore:
 			si := c.sq.push()
 			u.sqIdx = si
@@ -160,7 +161,7 @@ func (c *Core) dispatch() {
 			u.castsShadow = true
 			c.shadows.Add(u.seq)
 			c.noteShadowOpen(u)
-			c.iq = append(c.iq, u)
+			c.enqueue(u, idx)
 		}
 		n++
 	}
@@ -180,16 +181,16 @@ func (c *Core) opLatency(op isa.Op) uint64 {
 
 // issue selects up to IssueWidth ready instructions from the IQ, oldest
 // first, and starts their execution (ALU ops, branch outcome computation,
-// and the AGU part of loads and stores).
+// and the AGU part of loads and stores). The ready set is walked in ROB
+// age order, so only ready uops are visited.
 func (c *Core) issue() {
-	issued := 0
-	out := c.iq[:0]
-	for _, u := range c.iq {
-		if issued >= c.cfg.IssueWidth || !c.ready(u) {
-			out = append(out, u)
-			continue
-		}
-		issued++
+	for n, off := 0, c.iqReady.nextIn(&c.rob, 0); n < c.cfg.IssueWidth && off < c.rob.len(); n++ {
+		idx := c.rob.at(off)
+		off = c.iqReady.nextIn(&c.rob, off+1)
+		c.iqReady.clear(idx)
+		c.iqLen--
+		u := &c.robEntries[idx]
+		u.queued = false
 		u.issued = true
 		switch u.kind {
 		case isa.KindALU:
@@ -232,6 +233,7 @@ func (c *Core) issue() {
 			if c.cfg.Scheme.TracksTaint() {
 				e.addrTaintRoot = c.taints.Root(u.src[0])
 			}
+			c.lqAwake.set(u.lqIdx)
 		case isa.KindStore:
 			e := &c.sqEntries[u.sqIdx]
 			e.addr = program.AlignAddr(uint64(c.regVal[u.src[0]] + u.in.Imm))
@@ -242,10 +244,10 @@ func (c *Core) issue() {
 			}
 		}
 	}
-	c.iq = out
 }
 
-// ready reports whether the uop's issue-time operands are available. Loads
+// ready reports whether the uop's issue-time operands are available (the
+// predicate the ready set tracks; enqueue and markReady maintain it). Loads
 // and stores only need their base register to start address generation;
 // the store's data operand is captured separately by the store queue.
 // Under STT a load is additionally a transmitter: it may not issue its
@@ -279,7 +281,7 @@ func (c *Core) writeback() {
 		u.inFlight = false
 		u.executed = true
 		c.regVal[u.dst] = u.result
-		c.regReady[u.dst] = true
+		c.markReady(u.dst)
 		u.propagated = true
 	}
 	c.inflightExec = out
@@ -301,8 +303,7 @@ func (c *Core) resolveBranches() {
 		u.resolved = true
 		u.executed = true
 		u.shadowResolved = true
-		c.shadows.Resolve(u.seq)
-		c.ctrlShadows.Resolve(u.seq)
+		c.resolveShadow(u.seq, true)
 		c.noteShadowClose(u)
 		if u.actTarget != u.predTarget {
 			c.Stats.BranchMispredicts++

@@ -112,7 +112,7 @@ func (c *Core) quiescent() error {
 		return fmt.Errorf("%d ROB entries in flight", c.rob.len())
 	case len(c.fetchBuf) > 0:
 		return fmt.Errorf("%d fetched instructions buffered", len(c.fetchBuf))
-	case len(c.iq) > 0 || len(c.inflightExec) > 0 || len(c.pendingResolve) > 0:
+	case c.iqLen > 0 || len(c.inflightExec) > 0 || len(c.pendingResolve) > 0:
 		return fmt.Errorf("issue/execute queues not empty")
 	case c.lq.len() > 0 || c.sq.len() > 0:
 		return fmt.Errorf("load/store queues not empty")

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"doppelganger/internal/isa"
 	"doppelganger/internal/mem"
 )
@@ -20,6 +22,15 @@ type uop struct {
 	oldDst int // previous mapping of the architectural destination
 	src    [2]int
 	nsrc   int
+
+	// Issue-queue wakeup: queued marks a uop waiting in the IQ; pending
+	// counts its issue-time sources not yet ready. While source k is
+	// outstanding (bit k of linked), waitNext[k] links the uop into that
+	// register's waiter list (see Core.regWaiters).
+	queued   bool
+	pending  int8
+	linked   uint8
+	waitNext [2]int32
 
 	// Execution status.
 	issued     bool   // left the IQ (execution started / AGU issued)
@@ -152,7 +163,8 @@ type sqEntry struct {
 
 // ring is a bounded FIFO of uops backed by a fixed slice (the ROB, LQ and
 // SQ are all rings). Entries are addressed by absolute index so other
-// structures can hold stable references.
+// structures can hold stable references. Indices wrap with a compare and
+// subtract rather than a division.
 type ring struct {
 	head, count int
 	size        int
@@ -164,12 +176,20 @@ func (r *ring) full() bool  { return r.count == r.size }
 func (r *ring) empty() bool { return r.count == 0 }
 func (r *ring) len() int    { return r.count }
 
+// wrap maps head+offset, for an offset in [0, size), to an absolute index.
+func (r *ring) wrap(i int) int {
+	if i >= r.size {
+		i -= r.size
+	}
+	return i
+}
+
 // push allocates the next slot and returns its index.
 func (r *ring) push() int {
 	if r.full() {
 		panic("pipeline: ring overflow")
 	}
-	i := (r.head + r.count) % r.size
+	i := r.wrap(r.head + r.count)
 	r.count++
 	return i
 }
@@ -180,7 +200,7 @@ func (r *ring) popHead() int {
 		panic("pipeline: ring underflow")
 	}
 	i := r.head
-	r.head = (r.head + 1) % r.size
+	r.head = r.wrap(r.head + 1)
 	r.count--
 	return i
 }
@@ -191,14 +211,59 @@ func (r *ring) popTail() int {
 		panic("pipeline: ring underflow")
 	}
 	r.count--
-	return (r.head + r.count) % r.size
+	return r.wrap(r.head + r.count)
 }
 
 // headIdx returns the index of the oldest slot.
 func (r *ring) headIdx() int { return r.head }
 
-// tailIdx returns the index of the youngest slot.
-func (r *ring) tailIdx() int { return (r.head + r.count - 1 + r.size) % r.size }
+// tailIdx returns the index of the youngest slot; the ring must not be
+// empty.
+func (r *ring) tailIdx() int { return r.wrap(r.head + r.count - 1) }
 
 // at returns the absolute index of the i-th oldest element (0 = head).
-func (r *ring) at(i int) int { return (r.head + i) % r.size }
+func (r *ring) at(i int) int { return r.wrap(r.head + i) }
+
+// bitset is a set of ring slots.
+type bitset []uint64
+
+// bitsetWords is the number of words a bitset of n slots takes.
+func bitsetWords(n int) int { return (n + 63) / 64 }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// next returns the lowest member in [i, end), or end if there is none.
+func (b bitset) next(i, end int) int {
+	for i < end {
+		if w := b[i>>6] >> (i & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), end)
+		}
+		i = (i | 63) + 1
+	}
+	return end
+}
+
+// nextIn returns the age offset (0 = head) of the oldest member of b at
+// offset off or younger among r's occupied slots, or r.len() if there is
+// none. Walking a ring in age order this way costs one word test per 64
+// slots, so members are found without visiting the rest; bits are re-read
+// on every call, so a member added ahead of the walk is still visited.
+func (b bitset) nextIn(r *ring, off int) int {
+	for off < r.count {
+		i := r.head + off
+		end := r.head + r.count
+		if i >= r.size {
+			i -= r.size
+			end -= r.size
+		} else if end > r.size {
+			end = r.size
+		}
+		if j := b.next(i, end); j < end {
+			return off + j - i
+		}
+		off += end - i
+	}
+	return r.count
+}

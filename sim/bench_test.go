@@ -122,3 +122,37 @@ func BenchmarkObserveGadgetPair(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunDoMStall measures the cell with the most parked loads: DoM
+// without doppelganger loads on random_walk, a memory-bound kernel whose
+// speculative misses are delayed until their loads turn non-speculative.
+// Most of its load queue waits on the shadow frontier each cycle, so it
+// gates the cost of loads that are waiting rather than working.
+func BenchmarkRunDoMStall(b *testing.B) {
+	w, ok := sim.WorkloadByName("random_walk")
+	if !ok {
+		b.Fatal("no random_walk workload")
+	}
+	p := w.Build(sim.ScaleTest)
+	cfg := sim.Config{Scheme: sim.DoM}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunNDAP measures NDA-P with doppelganger loads on stream: loads
+// whose values are present but held back until they are non-speculative,
+// released when the oldest unresolved shadow moves.
+func BenchmarkRunNDAP(b *testing.B) {
+	p := benchProgram(b)
+	cfg := sim.Config{Scheme: sim.NDAP, AddressPrediction: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
