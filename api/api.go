@@ -1,14 +1,34 @@
-// Package api defines the wire types of the doppeld HTTP API: requests and
-// responses for /v1/run, /v1/sweep, /v1/checkpoint, /v1/leakcheck and
-// /v1/campaign. The
-// same structs are consumed by the server (cmd/doppeld), the load generator
-// (cmd/doppelbench), and any external client; the JSON field names are the
-// contract.
+// Package api is the request contract of both HTTP front doors: the wire
+// types, the request resolver and the JSON plumbing that single-node
+// doppeld (cmd/doppeld) and the cluster coordinator (internal/cluster)
+// share. The load generator (cmd/doppelbench) and any external client use
+// the same structs; the JSON field names are the contract.
 //
-// Responses carry an explicit schema_version (SchemaVersion). The version
-// bumps whenever a field changes meaning or is removed; adding new optional
-// fields does not bump it. Clients should accept any version ≥ the one they
-// were built against and select on the field when shapes diverge.
+// doppeld serves /v1/run (RunRequest → RunResponse), /v1/sweep
+// (SweepRequest → SweepResponse), /v1/results/{id}, /v1/checkpoint,
+// /v1/checkpoint/import, /v1/checkpoint/{id}, /v1/leakcheck and
+// /v1/campaign. The coordinator serves /v1/run (RunRequest → RunResult)
+// and /v1/sweep (SweepRequest → SweepSummary, or SweepProgress events
+// ending in a "done" SweepSummary when streaming), plus the cluster
+// control plane: /v1/cluster/register (RegisterRequest →
+// RegisterResponse), /v1/cluster/heartbeat (HeartbeatRequest),
+// /v1/cluster/deregister (DeregisterRequest) and /v1/cluster/workers
+// (WorkerInfo list). A worker serves /internal/v1/execute (ExecuteRequest
+// → ExecuteResponse) to its coordinator. Both front doors serve /healthz,
+// /stats and /metrics. Every non-2xx reply is an Error.
+//
+// RunRequest.Resolve and SweepRequest.Expand are the one resolution of a
+// request into programs and configurations; their refusals match
+// ErrBadRequest. The coordinator refuses the run fields it cannot honour
+// (trace, trace_events, checkpoint, timeout_ms) and doppeld refuses a
+// sweep's stream field; both refuse a bad sweep whole, before any cell
+// runs.
+//
+// doppeld's responses carry an explicit schema_version (SchemaVersion).
+// The version bumps whenever a field changes meaning or is removed; adding
+// new optional fields does not bump it. Clients should accept any version
+// ≥ the one they were built against and select on the field when shapes
+// diverge.
 package api
 
 import "doppelganger/sim"
@@ -82,9 +102,13 @@ type SweepRequest struct {
 	MaxInsts uint64 `json:"max_insts,omitempty"`
 	// MaxCycles bounds simulated cycles per cell.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	// Stream selects per-cell progress streaming from the coordinator:
+	// "" (buffered JSON), "sse", or "ndjson"; the Accept header can select
+	// it too. doppeld does not stream and refuses a non-empty value.
+	Stream string `json:"stream,omitempty"`
 }
 
-// SweepCell is one cell of a sweep.
+// SweepCell is one cell of a doppeld sweep.
 type SweepCell struct {
 	Workload string `json:"workload"`
 	Scheme   string `json:"scheme"`

@@ -36,13 +36,13 @@ func clampCampaignBudget(budget int) int {
 // reproducible.
 func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	var req api.CampaignRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	schemes, aps, err := secure.ParseMatrix(req.Schemes, req.AP)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	cfgs := leakcheck.Configs(schemes, aps)
@@ -56,7 +56,7 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		Blind:   req.Blind,
 	})
 	if err != nil {
-		writeSimError(w, err)
+		api.Fail(w, err)
 		return
 	}
 	resp := api.CampaignResponse{
@@ -80,5 +80,5 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.store(resp.ID, resp)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,39 +21,29 @@ const maxImportBytes = 64 << 20
 // snapshot for later warm-started runs.
 func (s *server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CheckpointRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Workload == "" {
-		writeError(w, http.StatusBadRequest, "missing \"workload\"")
+		api.WriteError(w, http.StatusBadRequest, "missing \"workload\"")
 		return
 	}
 	if req.WarmupInsts == 0 {
-		writeError(w, http.StatusBadRequest, "missing \"warmup_insts\": say how far to warm before snapshotting")
+		api.WriteError(w, http.StatusBadRequest, "missing \"warmup_insts\": say how far to warm before snapshotting")
 		return
 	}
-	scale, _, err := parseScale(req.Scale)
+	prog, cfg, err := api.RunRequest{Workload: req.Workload, Scale: req.Scale, Scheme: req.Scheme, AP: req.AP}.Resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.Fail(w, err)
 		return
 	}
-	scheme, err := sim.ParseScheme(cmp.Or(req.Scheme, sim.Unsafe.String()))
+	ck, err := sim.Snapshot(prog, cfg, req.WarmupInsts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.Fail(w, err)
 		return
 	}
-	prog, err := s.program(req.Workload, scale)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ck, err := sim.Snapshot(prog, sim.Config{Scheme: scheme, AddressPrediction: req.AP}, req.WarmupInsts)
-	if err != nil {
-		writeSimError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.storeCheckpoint(ck))
+	api.WriteJSON(w, http.StatusOK, s.storeCheckpoint(ck))
 }
 
 // handleCheckpointImport stores a checkpoint from its raw encoding (the
@@ -64,15 +53,15 @@ func (s *server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 func (s *server) handleCheckpointImport(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
 	ck, err := sim.DecodeCheckpoint(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.storeCheckpoint(ck))
+	api.WriteJSON(w, http.StatusOK, s.storeCheckpoint(ck))
 }
 
 // handleCheckpointExport serves a stored checkpoint's canonical encoding,
@@ -81,7 +70,7 @@ func (s *server) handleCheckpointExport(w http.ResponseWriter, r *http.Request) 
 	id := r.PathValue("id")
 	ck := s.checkpoint(id)
 	if ck == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no stored checkpoint %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("no stored checkpoint %q", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

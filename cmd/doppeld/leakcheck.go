@@ -24,13 +24,13 @@ const (
 // scheme's executions stay indistinguishable under.
 func (s *server) handleLeakcheck(w http.ResponseWriter, r *http.Request) {
 	var req api.LeakcheckRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	schemes, aps, err := secure.ParseMatrix(req.Schemes, req.AP)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	cfgs := leakcheck.Configs(schemes, aps)
@@ -44,7 +44,7 @@ func (s *server) handleLeakcheck(w http.ResponseWriter, r *http.Request) {
 
 	results, err := leakcheck.ContractSweep(r.Context(), cfgs, req.FirstSeed, seeds, runtime.GOMAXPROCS(0))
 	if err != nil {
-		writeSimError(w, err)
+		api.Fail(w, err)
 		return
 	}
 	resp := api.LeakcheckResponse{
@@ -71,5 +71,5 @@ func (s *server) handleLeakcheck(w http.ResponseWriter, r *http.Request) {
 		resp.Matrix = append(resp.Matrix, row)
 	}
 	s.store(resp.ID, resp)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -3,18 +3,14 @@ package main
 import (
 	"cmp"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"doppelganger/api"
 	"doppelganger/internal/engine"
-	"doppelganger/internal/secure"
 	"doppelganger/internal/workload"
 	"doppelganger/sim"
 )
@@ -49,14 +45,6 @@ type server struct {
 	ckptMu    sync.Mutex
 	ckpts     map[string]*sim.Checkpoint
 	ckptOrder []string // insertion order, for FIFO eviction
-
-	progMu   sync.Mutex
-	programs map[progKey]*sim.Program
-}
-
-type progKey struct {
-	name  string
-	scale workload.Scale
 }
 
 // newServer wraps an engine and an optional metrics registry (nil disables
@@ -67,12 +55,11 @@ func newServer(eng *engine.Engine, met *sim.Metrics) *server {
 		met = sim.NewMetrics()
 	}
 	return &server{
-		eng:      eng,
-		met:      met,
-		start:    time.Now(),
-		results:  make(map[string]any),
-		ckpts:    make(map[string]*sim.Checkpoint),
-		programs: make(map[progKey]*sim.Program),
+		eng:     eng,
+		met:     met,
+		start:   time.Now(),
+		results: make(map[string]any),
+		ckpts:   make(map[string]*sim.Checkpoint),
 	}
 }
 
@@ -93,88 +80,32 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// program returns the built program for a workload at a scale, memoized:
-// program images are immutable and deterministic, so every request for the
-// same (workload, scale) shares one image.
-func (s *server) program(name string, scale workload.Scale) (*sim.Program, error) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q; known: %s",
-			name, strings.Join(workload.Names(), ", "))
-	}
-	k := progKey{name, scale}
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	if p, ok := s.programs[k]; ok {
-		return p, nil
-	}
-	p := w.Build(scale)
-	s.programs[k] = p
-	return p, nil
-}
-
-func parseScale(name string) (workload.Scale, string, error) {
-	switch name {
-	case "", "full":
-		return workload.ScaleFull, "full", nil
-	case "test":
-		return workload.ScaleTest, "test", nil
-	default:
-		return 0, "", fmt.Errorf("unknown scale %q (want \"test\" or \"full\")", name)
-	}
-}
-
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.Fail(w, err)
 		return
 	}
-	if req.Workload == "" && req.Checkpoint == "" {
-		writeError(w, http.StatusBadRequest, "missing \"workload\"")
-		return
-	}
-	scale, scaleName, err := parseScale(req.Scale)
+	prog, cfg, err := req.Resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.Fail(w, err)
 		return
 	}
-	scheme, err := sim.ParseScheme(cmp.Or(req.Scheme, sim.Unsafe.String()))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	scaleName := cmp.Or(req.Scale, workload.ScaleFull.String())
 	var ck *sim.Checkpoint
 	if req.Checkpoint != "" {
 		if ck = s.checkpoint(req.Checkpoint); ck == nil {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no stored checkpoint %q", req.Checkpoint))
+			api.WriteError(w, http.StatusNotFound, fmt.Sprintf("no stored checkpoint %q", req.Checkpoint))
 			return
 		}
-	}
-	var prog *sim.Program
-	if req.Workload != "" {
-		prog, err = s.program(req.Workload, scale)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+		if prog == nil {
+			// Checkpoint-only request: run the program embedded in the
+			// checkpoint (its captured state supersedes any initial image).
+			prog, scaleName = ck.Program(), ""
+		} else if err := ck.CompatibleWith(prog); err != nil {
+			api.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if ck != nil {
-			if err := ck.CompatibleWith(prog); err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-		}
-	} else {
-		// Checkpoint-only request: run the program embedded in the
-		// checkpoint (its captured state supersedes any initial image).
-		prog = ck.Program()
-		scaleName = ""
-	}
-	cfg := sim.Config{
-		Scheme:            scheme,
-		AddressPrediction: req.AP,
-		MaxInsts:          req.MaxInsts,
-		MaxCycles:         req.MaxCycles,
 	}
 	var (
 		res  sim.Result
@@ -217,20 +148,16 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if err != nil {
-		writeSimError(w, err)
+		api.Fail(w, err)
 		return
 	}
 	s.runs.Add(1)
-	workloadName := req.Workload
-	if workloadName == "" {
-		workloadName = prog.Name
-	}
 	resp := api.RunResponse{
 		Schema:   api.SchemaVersion,
 		ID:       s.newID("run"),
-		Workload: workloadName,
+		Workload: cmp.Or(req.Workload, prog.Name),
 		Scale:    scaleName,
-		Scheme:   scheme.String(),
+		Scheme:   cfg.Scheme.String(),
 		AP:       req.AP,
 		Result:   res,
 	}
@@ -239,7 +166,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.EventsDropped = ring.Dropped()
 	}
 	s.store(resp.ID, resp)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics serves the shared registry in Prometheus text exposition
@@ -252,69 +179,39 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.Fail(w, err)
 		return
 	}
-	scale, scaleName, err := parseScale(req.Scale)
+	if req.Stream != "" {
+		api.WriteError(w, http.StatusBadRequest, `doppeld does not stream sweeps: "stream" is served by the cluster coordinator`)
+		return
+	}
+	sweep, err := req.Expand()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.Fail(w, err)
 		return
 	}
-	names := req.Workloads
-	if len(names) == 0 {
-		names = workload.Names()
-	}
-	schemes, aps, err := secure.ParseMatrix(req.Schemes, req.AP)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	var jobs []engine.Job
-	var cells []api.SweepCell
-	for _, name := range names {
-		prog, err := s.program(name, scale)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		for _, scheme := range schemes {
-			for _, ap := range aps {
-				cells = append(cells, api.SweepCell{Workload: name, Scheme: scheme.String(), AP: ap})
-				jobs = append(jobs, engine.Job{
-					Program: prog,
-					Config: sim.Config{
-						Scheme:            scheme,
-						AddressPrediction: ap,
-						MaxInsts:          req.MaxInsts,
-						MaxCycles:         req.MaxCycles,
-					},
-				})
-			}
-		}
+	jobs := make([]engine.Job, len(sweep))
+	cells := make([]api.SweepCell, len(sweep))
+	for i, c := range sweep {
+		jobs[i] = engine.Job{Program: c.Program, Config: c.Config}
+		cells[i] = api.SweepCell{Workload: c.Run.Workload, Scheme: c.Run.Scheme, AP: c.Run.AP}
 	}
 	results, err := s.eng.RunBatch(r.Context(), jobs, nil)
 	if err != nil {
-		writeSimError(w, err)
+		api.Fail(w, err)
 		return
 	}
-	base := make(map[string]uint64) // workload -> unsafe no-AP cycles
 	for i := range cells {
 		cells[i].Result = results[i]
-		if jobs[i].Config.Scheme == sim.Unsafe && !cells[i].AP {
-			base[cells[i].Workload] = results[i].Cycles
-		}
 	}
-	for i := range cells {
-		if b, ok := base[cells[i].Workload]; ok && cells[i].Result.Cycles > 0 {
-			cells[i].NormIPC = float64(b) / float64(cells[i].Result.Cycles)
-		}
-	}
+	api.SetNormIPC(cells)
 	s.sweeps.Add(1)
-	resp := api.SweepResponse{Schema: api.SchemaVersion, ID: s.newID("sweep"), Scale: scaleName, Cells: cells}
+	resp := api.SweepResponse{Schema: api.SchemaVersion, ID: s.newID("sweep"),
+		Scale: cmp.Or(req.Scale, workload.ScaleFull.String()), Cells: cells}
 	s.store(resp.ID, resp)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -323,14 +220,14 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	resp, ok := s.results[id]
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no stored result %q", id))
+		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("no stored result %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 	})
@@ -343,7 +240,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.ckptMu.Lock()
 	ckpts := len(s.ckpts)
 	s.ckptMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"engine": s.eng.Stats(),
 		"server": map[string]any{
 			"uptime_ms":          time.Since(s.start).Milliseconds(),
@@ -371,35 +268,4 @@ func (s *server) store(id string, resp any) {
 		delete(s.results, s.order[0])
 		s.order = s.order[1:]
 	}
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, api.Error{Error: msg})
-}
-
-// writeSimError maps an engine failure to a status: client cancellations
-// surface as 499-style 400s, everything else is a 500.
-func writeSimError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		code = http.StatusBadRequest
-	}
-	writeError(w, code, err.Error())
 }

@@ -303,3 +303,26 @@ func TestStatsShape(t *testing.T) {
 		}
 	}
 }
+
+// TestBadSweepIs400 checks a sweep naming an unknown scale or workload, or
+// asking to stream, is refused whole, before any cell reaches the engine.
+func TestBadSweepIs400(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(newServer(eng, nil).handler())
+	t.Cleanup(ts.Close)
+	for _, body := range []string{`{"scale":"galactic"}`, `{"workloads":["nope"]}`,
+		`{"workloads":["stream"],"scale":"test","stream":"sse"}`} {
+		resp, raw := postJSON(t, ts.URL+"/v1/sweep", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (%.200s)", body, resp.StatusCode, raw)
+		}
+		var e api.Error
+		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+			t.Errorf("%s: not a JSON error body: %.200s", body, raw)
+		}
+	}
+	if n := eng.Stats().Submitted; n != 0 {
+		t.Errorf("refused sweeps submitted %d jobs, want 0", n)
+	}
+}

@@ -25,6 +25,7 @@ import (
 
 	"doppelganger/internal/engine"
 	"doppelganger/internal/secure"
+	"doppelganger/internal/workload"
 	"doppelganger/sim"
 )
 
@@ -275,20 +276,11 @@ func loadProgram(workloadName, file, scaleName string) (*sim.Program, error) {
 	case workloadName != "" && file != "":
 		return nil, fmt.Errorf("use either -workload or -file, not both")
 	case workloadName != "":
-		w, ok := sim.WorkloadByName(workloadName)
-		if !ok {
-			return nil, fmt.Errorf("unknown workload %q; known: %s",
-				workloadName, strings.Join(sim.WorkloadNames(), ", "))
+		scale, err := workload.ParseScale(scaleName)
+		if err != nil {
+			return nil, err
 		}
-		scale := sim.ScaleFull
-		switch scaleName {
-		case "full":
-		case "test":
-			scale = sim.ScaleTest
-		default:
-			return nil, fmt.Errorf("unknown scale %q", scaleName)
-		}
-		return w.Build(scale), nil
+		return workload.Program(workloadName, scale)
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {

@@ -63,11 +63,12 @@ func main() {
 		harness.PrintTable1(os.Stdout)
 		return
 	}
+	sc, err := workload.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
 	if len(*only) > 12 && (*only)[:12] == "sensitivity-" {
-		sc := workload.ScaleFull
-		if *scale == "test" {
-			sc = workload.ScaleTest
-		}
 		name := "stream"
 		if *names != "" {
 			name = strings.Split(*names, ",")[0]
@@ -83,10 +84,6 @@ func main() {
 		return
 	}
 	if *only == "extensions" {
-		sc := workload.ScaleFull
-		if *scale == "test" {
-			sc = workload.ScaleTest
-		}
 		name := "stream"
 		if *names != "" {
 			name = strings.Split(*names, ",")[0]
@@ -99,17 +96,6 @@ func main() {
 		harness.PrintExtensions(os.Stdout, name, rows)
 		writeMetrics()
 		return
-	}
-
-	var sc workload.Scale
-	switch *scale {
-	case "full":
-		sc = workload.ScaleFull
-	case "test":
-		sc = workload.ScaleTest
-	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown scale %q\n", *scale)
-		os.Exit(2)
 	}
 
 	opts := harness.Options{Scale: sc, Verify: *verify, Parallelism: *parallel, Metrics: met, WarmupInsts: *warmup}

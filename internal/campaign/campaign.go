@@ -229,7 +229,6 @@ func recordLeak(ctx context.Context, corpus *Corpus, ev *PairEval, comps []strin
 	if !noMinimize {
 		leak := leakcheck.Leak{
 			Params: ev.Params, Config: ev.Config, Components: comps,
-			DigestA: ev.ObsA.Micro, DigestB: ev.ObsB.Micro,
 			ObsA: ev.ObsA, ObsB: ev.ObsB,
 		}
 		min, err := leakcheck.Minimize(ctx, leak)

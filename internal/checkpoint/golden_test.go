@@ -53,7 +53,7 @@ func goldenState() *pipeline.CoreState {
 	return st
 }
 
-func goldenCheckpoint(t *testing.T) *Checkpoint {
+func goldenCheckpoint(t testing.TB) *Checkpoint {
 	t.Helper()
 	ck, err := New(goldenMeta(), goldenState())
 	if err != nil {

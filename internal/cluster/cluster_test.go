@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"doppelganger/api"
 	"doppelganger/internal/cluster/store"
 	"doppelganger/internal/engine"
 	"doppelganger/internal/obs"
@@ -75,7 +76,7 @@ func newTestWorker(t *testing.T, id string, engineWorkers int) *testWorker {
 	mux := http.NewServeMux()
 	mux.Handle("POST /internal/v1/execute", wk.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	tw.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if tw.dead.Load() {
@@ -125,7 +126,7 @@ func postSpec(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-var testSpec = JobSpec{Workload: "stream", Scale: "test", Scheme: "dom", AP: true}
+var testSpec = api.RunRequest{Workload: "stream", Scale: "test", Scheme: "dom", AP: true}
 
 func TestRunThroughClusterAndMemoryTier(t *testing.T) {
 	w1 := newTestWorker(t, "w1", 2)
@@ -137,11 +138,11 @@ func TestRunThroughClusterAndMemoryTier(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var run RunResult
+	var run api.RunResult
 	if err := json.Unmarshal(body, &run); err != nil {
 		t.Fatalf("bad response: %v", err)
 	}
-	if run.Source != SourceComputed || run.Worker != "w1" {
+	if run.Source != api.SourceComputed || run.Worker != "w1" {
 		t.Errorf("source = %s/%s, want computed/w1", run.Source, run.Worker)
 	}
 	if len(run.Key) != 64 || run.Result.Cycles == 0 || run.Result.Checksum == 0 {
@@ -151,9 +152,9 @@ func TestRunThroughClusterAndMemoryTier(t *testing.T) {
 	// The identical run must be answered by the memory tier, not the worker.
 	before := w1.served.Load()
 	resp, body = postSpec(t, ts.URL+"/v1/run", testSpec)
-	var again RunResult
+	var again api.RunResult
 	json.Unmarshal(body, &again)
-	if resp.StatusCode != http.StatusOK || again.Source != SourceMemory {
+	if resp.StatusCode != http.StatusOK || again.Source != api.SourceMemory {
 		t.Errorf("repeat run: status %d source %s, want 200 memory", resp.StatusCode, again.Source)
 	}
 	if again.Result.Checksum != run.Result.Checksum {
@@ -182,7 +183,7 @@ func TestBadSpecIs400(t *testing.T) {
 	c := newTestCoordinator(t, Options{}, w1)
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
-	for _, spec := range []JobSpec{
+	for _, spec := range []api.RunRequest{
 		{},                                      // missing workload
 		{Workload: "nope", Scale: "test"},       // unknown workload
 		{Workload: "stream", Scale: "galactic"}, // unknown scale
@@ -192,6 +193,23 @@ func TestBadSpecIs400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %+v: status %d (%s), want 400", spec, resp.StatusCode, body)
 		}
+	}
+	// The per-run fields a shared, cached result cannot carry are refused
+	// by name, before anything is dispatched.
+	for field, spec := range map[string]api.RunRequest{
+		"trace":        {Workload: "stream", Scale: "test", Trace: true},
+		"trace_events": {Workload: "stream", Scale: "test", TraceEvents: 16},
+		"checkpoint":   {Workload: "stream", Scale: "test", Checkpoint: "ckpt-1"},
+		"timeout_ms":   {Workload: "stream", Scale: "test", TimeoutMS: 1000},
+	} {
+		resp, body := postSpec(t, ts.URL+"/v1/run", spec)
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("%s: status %d (%s), want 400 naming the field", field, resp.StatusCode, body)
+		}
+	}
+	if n := w1.served.Load(); n != 0 {
+		t.Errorf("refused specs reached the worker %d times, want 0", n)
 	}
 }
 
@@ -216,7 +234,7 @@ func TestWorkerDeathMidSweepRetriesOnSurvivor(t *testing.T) {
 		w2.kill()
 	}()
 
-	sweep := SweepSpec{
+	sweep := api.SweepRequest{
 		Workloads: []string{"stream", "pointer_chase"},
 		Schemes:   []string{"unsafe", "dom"},
 		Scale:     "test",
@@ -225,7 +243,7 @@ func TestWorkerDeathMidSweepRetriesOnSurvivor(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sum SweepSummary
+	var sum api.SweepSummary
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatalf("bad summary: %v", err)
 	}
@@ -259,12 +277,12 @@ func TestDuplicateWorkerRegistration(t *testing.T) {
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
-	reg := func(id, addr string) RegisterResponse {
-		resp, body := postSpec(t, ts.URL+"/v1/cluster/register", RegisterRequest{ID: id, Addr: addr})
+	reg := func(id, addr string) api.RegisterResponse {
+		resp, body := postSpec(t, ts.URL+"/v1/cluster/register", api.RegisterRequest{ID: id, Addr: addr})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("register %s: status %d: %s", id, resp.StatusCode, body)
 		}
-		var rr RegisterResponse
+		var rr api.RegisterResponse
 		json.Unmarshal(body, &rr)
 		return rr
 	}
@@ -282,7 +300,7 @@ func TestDuplicateWorkerRegistration(t *testing.T) {
 	}
 
 	// Registration sanity: missing fields and non-URL addrs are rejected.
-	for _, req := range []RegisterRequest{
+	for _, req := range []api.RegisterRequest{
 		{ID: "", Addr: "http://x"},
 		{ID: "w9", Addr: ""},
 		{ID: "w9", Addr: "127.0.0.1:80"},
@@ -302,30 +320,30 @@ func TestStoreCorruptionRecomputed(t *testing.T) {
 	w1 := newTestWorker(t, "w1", 2)
 	c := newTestCoordinator(t, Options{Store: st, CacheSize: -1}, w1)
 
-	res, source, _, err := c.execute(context.Background(), testSpec)
-	if err != nil || source != SourceComputed {
-		t.Fatalf("first execute: %v, %s", err, source)
+	run, err := c.execute(context.Background(), testSpec)
+	if err != nil || run.Source != api.SourceComputed {
+		t.Fatalf("first execute: %v, %s", err, run.Source)
 	}
 	// Sanity: with the LRU disabled, the second execute hits the store.
-	if _, source, _, err = c.execute(context.Background(), testSpec); err != nil || source != SourceStore {
-		t.Fatalf("second execute: %v, source %s, want store", err, source)
+	if again, err := c.execute(context.Background(), testSpec); err != nil || again.Source != api.SourceStore {
+		t.Fatalf("second execute: %v, source %s, want store", err, again.Source)
 	}
 
 	corruptStoreValue(t, path)
 
-	res2, source, _, err := c.execute(context.Background(), testSpec)
+	rerun, err := c.execute(context.Background(), testSpec)
 	if err != nil {
 		t.Fatalf("execute over corrupt store: %v", err)
 	}
-	if source != SourceComputed {
-		t.Errorf("source = %s, want computed (corrupt record must not serve)", source)
+	if rerun.Source != api.SourceComputed {
+		t.Errorf("source = %s, want computed (corrupt record must not serve)", rerun.Source)
 	}
-	if res2.Checksum != res.Checksum {
+	if rerun.Result.Checksum != run.Result.Checksum {
 		t.Error("recomputed result diverges from the original")
 	}
 	// The rewrite must have healed the store.
-	if _, source, _, err = c.execute(context.Background(), testSpec); err != nil || source != SourceStore {
-		t.Errorf("post-heal execute: %v, source %s, want store", err, source)
+	if healed, err := c.execute(context.Background(), testSpec); err != nil || healed.Source != api.SourceStore {
+		t.Errorf("post-heal execute: %v, source %s, want store", err, healed.Source)
 	}
 }
 
@@ -381,12 +399,12 @@ func TestAdmissionControl429WhenSaturated(t *testing.T) {
 	blocked := make(chan struct{}, 8)
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			return
 		}
 		blocked <- struct{}{}
 		<-release
-		writeError(w, http.StatusInternalServerError, "released")
+		api.WriteError(w, http.StatusInternalServerError, "released")
 	}))
 	t.Cleanup(slow.Close)
 
@@ -402,7 +420,7 @@ func TestAdmissionControl429WhenSaturated(t *testing.T) {
 	}()
 	<-blocked // the first job is admitted and holds the only queue slot
 
-	resp, body := postSpec(t, ts.URL+"/v1/run", JobSpec{Workload: "stream", Scale: "test"})
+	resp, body := postSpec(t, ts.URL+"/v1/run", api.RunRequest{Workload: "stream", Scale: "test"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated status %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -419,7 +437,7 @@ func TestStreamingSweepNDJSON(t *testing.T) {
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
-	sweep := SweepSpec{Workloads: []string{"stream"}, Schemes: []string{"unsafe", "dom"}, Scale: "test", Stream: "ndjson"}
+	sweep := api.SweepRequest{Workloads: []string{"stream"}, Schemes: []string{"unsafe", "dom"}, Scale: "test", Stream: "ndjson"}
 	raw, _ := json.Marshal(sweep)
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -431,8 +449,8 @@ func TestStreamingSweepNDJSON(t *testing.T) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var progress []SweepProgress
-	var done *SweepSummary
+	var progress []api.SweepProgress
+	var done *api.SweepSummary
 	for sc.Scan() {
 		var probe struct {
 			Type string `json:"type"`
@@ -442,11 +460,11 @@ func TestStreamingSweepNDJSON(t *testing.T) {
 		}
 		switch probe.Type {
 		case "progress":
-			var p SweepProgress
+			var p api.SweepProgress
 			json.Unmarshal(sc.Bytes(), &p)
 			progress = append(progress, p)
 		case "done":
-			var s SweepSummary
+			var s api.SweepSummary
 			json.Unmarshal(sc.Bytes(), &s)
 			done = &s
 		}
@@ -465,7 +483,7 @@ func TestStreamingSweepNDJSON(t *testing.T) {
 	if done == nil || len(done.Cells) != 4 || done.Errors != 0 {
 		t.Fatalf("missing or incomplete done summary: %+v", done)
 	}
-	if done.Sources[SourceComputed] != 4 {
+	if done.Sources[api.SourceComputed] != 4 {
 		t.Errorf("sources = %v, want 4 computed", done.Sources)
 	}
 }
@@ -476,7 +494,7 @@ func TestStreamingSweepSSE(t *testing.T) {
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
-	sweep := SweepSpec{Workloads: []string{"stream"}, Schemes: []string{"unsafe"}, AP: "off", Scale: "test"}
+	sweep := api.SweepRequest{Workloads: []string{"stream"}, Schemes: []string{"unsafe"}, AP: "off", Scale: "test"}
 	raw, _ := json.Marshal(sweep)
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", bytes.NewReader(raw))
 	req.Header.Set("Accept", "text/event-stream") // transport via Accept, not body
@@ -508,7 +526,7 @@ func TestShutdownDrainsStream(t *testing.T) {
 	hs := httptest.NewServer(c.Handler())
 	// Not using t.Cleanup(hs.Close): the test shuts the server down itself.
 
-	sweep := SweepSpec{Workloads: []string{"stream", "pointer_chase"}, Schemes: []string{"unsafe", "dom"}, Scale: "test", Stream: "ndjson"}
+	sweep := api.SweepRequest{Workloads: []string{"stream", "pointer_chase"}, Schemes: []string{"unsafe", "dom"}, Scale: "test", Stream: "ndjson"}
 	raw, _ := json.Marshal(sweep)
 	resp, err := http.Post(hs.URL+"/v1/sweep", "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -705,7 +723,7 @@ func firstLines(s string, n int) string {
 
 func TestWorkerKeyMismatchIsConflict(t *testing.T) {
 	w1 := newTestWorker(t, "w1", 1)
-	raw, _ := json.Marshal(ExecuteRequest{Spec: testSpec, Key: strings.Repeat("0", 64)})
+	raw, _ := json.Marshal(api.ExecuteRequest{Spec: testSpec, Key: strings.Repeat("0", 64)})
 	resp, err := http.Post(w1.ts.URL+"/internal/v1/execute", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -714,7 +732,7 @@ func TestWorkerKeyMismatchIsConflict(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("status %d, want 409 on key mismatch", resp.StatusCode)
 	}
-	var e errorResponse
+	var e api.Error
 	json.NewDecoder(resp.Body).Decode(&e)
 	if !strings.Contains(e.Error, "mismatch") {
 		t.Errorf("error = %q", e.Error)
@@ -747,11 +765,33 @@ func TestHealthzAndWorkersEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ws struct {
-		Workers []WorkerInfo `json:"workers"`
+		Workers []api.WorkerInfo `json:"workers"`
 	}
 	json.NewDecoder(resp.Body).Decode(&ws)
 	resp.Body.Close()
 	if len(ws.Workers) != 1 || ws.Workers[0].ID != "w1" {
 		t.Errorf("workers = %+v", ws.Workers)
+	}
+}
+
+// TestBadSweepIs400 checks a sweep naming an unknown scale or workload is
+// refused whole with 400, as doppeld refuses it, and no cell is dispatched.
+func TestBadSweepIs400(t *testing.T) {
+	w1 := newTestWorker(t, "w1", 1)
+	c := newTestCoordinator(t, Options{}, w1)
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	for _, body := range []string{`{"scale":"galactic"}`, `{"workloads":["nope"]}`} {
+		resp, raw := postSpec(t, ts.URL+"/v1/sweep", json.RawMessage(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (%.200s)", body, resp.StatusCode, raw)
+		}
+		var e api.Error
+		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+			t.Errorf("%s: not a JSON error body: %.200s", body, raw)
+		}
+	}
+	if n := w1.served.Load(); n != 0 {
+		t.Errorf("refused sweeps reached the worker %d times, want 0", n)
 	}
 }

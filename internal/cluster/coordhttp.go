@@ -10,62 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"doppelganger/sim"
+	"doppelganger/api"
 )
-
-// RunResult is the coordinator's answer to POST /v1/run.
-type RunResult struct {
-	// Key is the job's canonical engine cache key (the sharding key).
-	Key string `json:"key"`
-	// Source is which tier answered: memory, store, or computed.
-	Source string `json:"source"`
-	// Worker names the executing worker for computed results.
-	Worker string     `json:"worker,omitempty"`
-	Result sim.Result `json:"result"`
-}
-
-// SweepProgress is one per-cell streaming progress event.
-type SweepProgress struct {
-	Type string `json:"type"` // "progress"
-	// Index is the cell's position in canonical matrix order; Total the
-	// cell count. Events are emitted in index order.
-	Index    int    `json:"index"`
-	Total    int    `json:"total"`
-	Workload string `json:"workload"`
-	Scheme   string `json:"scheme"`
-	AP       bool   `json:"ap"`
-	Source   string `json:"source"`
-	Worker   string `json:"worker,omitempty"`
-	Cycles   uint64 `json:"cycles"`
-	Checksum uint64 `json:"checksum"`
-	// Error carries a per-cell failure; the sweep continues past it.
-	Error string `json:"error,omitempty"`
-}
-
-// SweepCell is one completed cell in the final sweep summary.
-type SweepCell struct {
-	Workload string `json:"workload"`
-	Scheme   string `json:"scheme"`
-	AP       bool   `json:"ap"`
-	Source   string `json:"source"`
-	Worker   string `json:"worker,omitempty"`
-	// NormIPC is IPC normalized to the same workload's unsafe no-AP
-	// baseline, when the sweep includes it.
-	NormIPC float64    `json:"norm_ipc,omitempty"`
-	Error   string     `json:"error,omitempty"`
-	Result  sim.Result `json:"result"`
-}
-
-// SweepSummary is the final sweep payload (the whole response when not
-// streaming; the terminal "done" event when streaming).
-type SweepSummary struct {
-	Type       string      `json:"type"` // "done"
-	Cells      []SweepCell `json:"cells"`
-	Errors     int         `json:"errors"`
-	DurationMS int64       `json:"duration_ms"`
-	// Sources tallies cells by serving tier.
-	Sources map[string]int `json:"sources"`
-}
 
 // Handler builds the coordinator's route table: the public doppeld-shaped
 // API plus the cluster control plane.
@@ -109,7 +55,7 @@ func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) bool {
 			seconds++
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(seconds))
-		writeError(w, http.StatusTooManyRequests,
+		api.WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("rate limit exceeded; retry after %ds", seconds))
 		return false
 	}
@@ -118,7 +64,7 @@ func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) bool {
 			c.met.saturated.Inc()
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
+		api.WriteError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("dispatch queue saturated (%d active jobs); retry after 1s", c.active.Load()))
 		return false
 	}
@@ -129,45 +75,30 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, r) {
 		return
 	}
-	var spec JobSpec
-	if err := decodeJSON(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req api.RunRequest
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.Fail(w, err)
 		return
 	}
-	res, source, workerID, err := c.execute(r.Context(), spec)
-	if err != nil {
-		c.writeExecuteError(w, err)
-		return
-	}
-	job, _ := spec.Resolve()
-	c.runs.Add(1)
-	writeJSON(w, http.StatusOK, RunResult{
-		Key:    string(job.Key()),
-		Source: source,
-		Worker: workerID,
-		Result: res,
-	})
-}
-
-// writeExecuteError maps an execute failure onto a status code.
-func (c *Coordinator) writeExecuteError(w http.ResponseWriter, err error) {
-	switch {
-	case err == errNoWorkers:
+	run, err := c.execute(r.Context(), req)
+	if err == errNoWorkers {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case strings.Contains(err.Error(), "unknown ") ||
-		strings.Contains(err.Error(), "missing "):
-		writeError(w, http.StatusBadRequest, err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		api.WriteError(w, http.StatusServiceUnavailable, err.Error())
+		return
 	}
+	if err != nil {
+		api.Fail(w, err)
+		return
+	}
+	c.runs.Add(1)
+	api.WriteJSON(w, http.StatusOK, run)
 }
 
 // streamMode resolves the requested progress transport.
-func streamMode(spec SweepSpec, r *http.Request) string {
-	switch spec.Stream {
+func streamMode(req api.SweepRequest, r *http.Request) string {
+	switch req.Stream {
 	case "sse", "ndjson":
-		return spec.Stream
+		return req.Stream
 	}
 	accept := r.Header.Get("Accept")
 	switch {
@@ -183,17 +114,17 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, r) {
 		return
 	}
-	var spec SweepSpec
-	if err := decodeJSON(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req api.SweepRequest
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.Fail(w, err)
 		return
 	}
-	cells, err := spec.Cells()
+	cells, err := req.Expand()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.Fail(w, err)
 		return
 	}
-	mode := streamMode(spec, r)
+	mode := streamMode(req, r)
 
 	c.streams.Add(1)
 	defer c.streams.Done()
@@ -208,7 +139,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		emit = func(v any) {
 			raw, _ := json.Marshal(v)
 			event := "progress"
-			if _, done := v.(SweepSummary); done {
+			if _, done := v.(api.SweepSummary); done {
 				event = "done"
 			}
 			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, raw)
@@ -238,22 +169,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		emit(summary)
 		return
 	}
-	writeJSON(w, http.StatusOK, summary)
+	api.WriteJSON(w, http.StatusOK, summary)
 }
 
 // runSweep executes every cell with bounded parallelism, emitting ordered
 // per-cell progress (a reorder buffer guarantees index order regardless of
 // completion interleaving), and assembles the summary. Per-cell failures
 // are recorded, not fatal: one bad cell must not void 167 good ones.
-func (c *Coordinator) runSweep(r *http.Request, cells []JobSpec, emit func(v any)) SweepSummary {
+func (c *Coordinator) runSweep(r *http.Request, cells []api.SweepJob, emit func(v any)) api.SweepSummary {
 	start := time.Now()
-	type outcome struct {
-		res    sim.Result
-		source string
-		worker string
-		err    error
-	}
-	outs := make([]outcome, len(cells))
+	outs := make([]api.SummaryCell, len(cells))
 	settled := make([]bool, len(cells))
 	next := 0
 	var mu sync.Mutex
@@ -265,30 +190,32 @@ func (c *Coordinator) runSweep(r *http.Request, cells []JobSpec, emit func(v any
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, source, workerID, err := c.execute(r.Context(), cells[i])
+			spec := cells[i].Run
+			run, err := c.execute(r.Context(), spec)
 			mu.Lock()
 			defer mu.Unlock()
-			outs[i] = outcome{res: res, source: source, worker: workerID, err: err}
+			outs[i] = api.SummaryCell{Workload: spec.Workload, Scheme: spec.Scheme, AP: spec.AP,
+				Source: run.Source, Worker: run.Worker, Result: run.Result}
+			if err != nil {
+				outs[i].Error = err.Error()
+			}
 			settled[i] = true
 			for next < len(cells) && settled[next] {
 				if emit != nil {
 					o := outs[next]
-					p := SweepProgress{
+					emit(api.SweepProgress{
 						Type:     "progress",
 						Index:    next,
 						Total:    len(cells),
-						Workload: cells[next].Workload,
-						Scheme:   cells[next].Scheme,
-						AP:       cells[next].AP,
-						Source:   o.source,
-						Worker:   o.worker,
-						Cycles:   o.res.Cycles,
-						Checksum: o.res.Checksum,
-					}
-					if o.err != nil {
-						p.Error = o.err.Error()
-					}
-					emit(p)
+						Workload: o.Workload,
+						Scheme:   o.Scheme,
+						AP:       o.AP,
+						Source:   o.Source,
+						Worker:   o.Worker,
+						Cycles:   o.Result.Cycles,
+						Checksum: o.Result.Checksum,
+						Error:    o.Error,
+					})
 				}
 				next++
 			}
@@ -296,93 +223,69 @@ func (c *Coordinator) runSweep(r *http.Request, cells []JobSpec, emit func(v any
 	}
 	wg.Wait()
 
-	summary := SweepSummary{
-		Type:    "done",
-		Cells:   make([]SweepCell, len(cells)),
-		Sources: make(map[string]int),
-	}
-	base := make(map[string]uint64) // workload -> unsafe no-AP cycles
-	for i, spec := range cells {
-		o := outs[i]
-		cell := SweepCell{
-			Workload: spec.Workload,
-			Scheme:   spec.Scheme,
-			AP:       spec.AP,
-			Source:   o.source,
-			Worker:   o.worker,
-			Result:   o.res,
-		}
-		if o.err != nil {
-			cell.Error = o.err.Error()
+	summary := api.SweepSummary{Type: "done", Cells: outs, Sources: make(map[string]int)}
+	for _, o := range outs {
+		if o.Error != "" {
 			summary.Errors++
 		} else {
-			summary.Sources[o.source]++
-			if spec.Scheme == sim.Unsafe.String() && !spec.AP {
-				base[spec.Workload] = o.res.Cycles
-			}
-		}
-		summary.Cells[i] = cell
-	}
-	for i := range summary.Cells {
-		cell := &summary.Cells[i]
-		if b, ok := base[cell.Workload]; ok && cell.Error == "" && cell.Result.Cycles > 0 {
-			cell.NormIPC = float64(b) / float64(cell.Result.Cycles)
+			summary.Sources[o.Source]++
 		}
 	}
+	api.SetNormIPC(summary.Cells)
 	summary.DurationMS = time.Since(start).Milliseconds()
 	return summary
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req api.RegisterRequest
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
-		writeError(w, http.StatusBadRequest, "register needs both \"id\" and \"addr\"")
+		api.WriteError(w, http.StatusBadRequest, "register needs both \"id\" and \"addr\"")
 		return
 	}
 	if !strings.HasPrefix(req.Addr, "http://") && !strings.HasPrefix(req.Addr, "https://") {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("addr %q must be a base URL (http://host:port)", req.Addr))
+		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("addr %q must be a base URL (http://host:port)", req.Addr))
 		return
 	}
 	n := c.register(req.ID, strings.TrimRight(req.Addr, "/"))
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	api.WriteJSON(w, http.StatusOK, api.RegisterResponse{
 		Workers:     n,
 		HeartbeatMS: c.opts.HeartbeatInterval.Milliseconds(),
 	})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req api.HeartbeatRequest
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !c.heartbeat(req.ID) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown worker %q (re-register)", req.ID))
+		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown worker %q (re-register)", req.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var req DeregisterRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req api.DeregisterRequest
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	c.remove(req.ID, "deregistered")
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.workerInfos()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.workerInfos()})
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"role":      "coordinator",
 		"workers":   len(c.workerInfos()),
@@ -391,7 +294,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"cluster": c.Stats()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"cluster": c.Stats()})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -8,26 +8,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"doppelganger/api"
 	"doppelganger/internal/cluster/store"
+	"doppelganger/internal/engine"
 	"doppelganger/internal/obs"
 	"doppelganger/sim"
 )
 
-// Result sources, reported per cell so clients and tests can see which
-// tier answered.
-const (
-	// SourceMemory: served from the coordinator's in-memory LRU.
-	SourceMemory = "memory"
-	// SourceStore: served from the persistent result tier.
-	SourceStore = "store"
-	// SourceComputed: dispatched to a worker (the per-cell Worker field
-	// names which one).
-	SourceComputed = "computed"
-)
+// maxAttempts bounds how many distinct workers one job is tried on before
+// it fails.
+const maxAttempts = 3
 
 // Options configures a Coordinator.
 type Options struct {
@@ -47,11 +43,6 @@ type Options struct {
 	// health loop probes it and, on failure, removes it
 	// (0 = 3× HeartbeatInterval).
 	WorkerTimeout time.Duration
-	// VNodes is the virtual nodes per worker on the ring (0 = 64).
-	VNodes int
-	// MaxAttempts bounds how many distinct workers one job is tried on
-	// before failing (0 = 3).
-	MaxAttempts int
 	// DispatchParallel bounds concurrent dispatches per sweep (0 = 16).
 	DispatchParallel int
 	// MaxQueue bounds jobs admitted but not yet completed across all
@@ -84,7 +75,7 @@ type workerState struct {
 type Coordinator struct {
 	opts    Options
 	met     *clusterMetrics
-	lru     *resultLRU
+	lru     *engine.LRU[string, sim.Result]
 	store   *store.Store
 	limiter *limiter
 	client  *http.Client
@@ -114,9 +105,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.WorkerTimeout <= 0 {
 		opts.WorkerTimeout = 3 * opts.HeartbeatInterval
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
 	if opts.DispatchParallel <= 0 {
 		opts.DispatchParallel = 16
 	}
@@ -137,12 +125,12 @@ func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:    opts,
 		met:     newClusterMetrics(opts.Metrics),
-		lru:     newResultLRU(cacheSize),
+		lru:     engine.NewLRU[string, sim.Result](cacheSize),
 		store:   opts.Store,
 		limiter: newLimiter(opts.RateLimit, opts.RateBurst),
 		client:  client,
 		workers: make(map[string]*workerState),
-		ring:    newRing(nil, opts.VNodes),
+		ring:    newRing(nil),
 		start:   time.Now(),
 		stopped: make(chan struct{}),
 	}
@@ -237,7 +225,7 @@ func (c *Coordinator) rebuildRingLocked() {
 	for id := range c.workers {
 		ids = append(ids, id)
 	}
-	c.ring = newRing(ids, c.opts.VNodes)
+	c.ring = newRing(ids)
 }
 
 func (c *Coordinator) currentRing() *ring {
@@ -253,7 +241,7 @@ func (c *Coordinator) workerByID(id string) *workerState {
 }
 
 // workerInfos snapshots the registry for /v1/cluster/workers.
-func (c *Coordinator) workerInfos() []WorkerInfo {
+func (c *Coordinator) workerInfos() []api.WorkerInfo {
 	c.mu.Lock()
 	ws := make([]*workerState, 0, len(c.workers))
 	for _, w := range c.workers {
@@ -261,16 +249,16 @@ func (c *Coordinator) workerInfos() []WorkerInfo {
 	}
 	c.mu.Unlock()
 	now := time.Now()
-	out := make([]WorkerInfo, len(ws))
+	out := make([]api.WorkerInfo, len(ws))
 	for i, w := range ws {
-		out[i] = WorkerInfo{
+		out[i] = api.WorkerInfo{
 			ID:         w.id,
 			Addr:       w.addr,
 			LastSeenMS: now.Sub(time.Unix(0, w.lastSeen.Load())).Milliseconds(),
 			Jobs:       w.jobs.Load(),
 		}
 	}
-	sortWorkerInfos(out)
+	slices.SortFunc(out, func(a, b api.WorkerInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -335,28 +323,57 @@ type jobError struct{ msg string }
 
 func (e *jobError) Error() string { return e.msg }
 
-// execute answers one job spec through the tiers: memory LRU, persistent
-// store, then dispatch to the key's ring owners with retry/re-shard on
-// worker failure. It returns the result, the serving tier (memory/store/
-// computed), and the worker ID for computed results.
-func (c *Coordinator) execute(ctx context.Context, spec JobSpec) (res sim.Result, source, workerID string, err error) {
-	job, err := spec.Resolve()
+// resolve refuses the run fields the cluster cannot honour — a trace, a
+// checkpoint and a deadline are per-run state a shared, cached result
+// cannot carry — and resolves the rest to its engine job. Coordinator and
+// worker both call it, so they derive the same job and key.
+func resolve(spec api.RunRequest) (engine.Job, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"trace", spec.Trace},
+		{"trace_events", spec.TraceEvents != 0},
+		{"checkpoint", spec.Checkpoint != ""},
+		{"timeout_ms", spec.TimeoutMS != 0},
+	} {
+		if f.set {
+			return engine.Job{}, api.BadRequest("the cluster does not serve %q", f.name)
+		}
+	}
+	prog, cfg, err := spec.Resolve()
+	return engine.Job{Program: prog, Config: cfg}, err
+}
+
+// execute answers one run through the tiers: memory LRU, persistent store,
+// then dispatch to the key's ring owners with retry/re-shard on worker
+// failure. The result names its key, the serving tier (memory/store/
+// computed) and, for computed results, the worker.
+func (c *Coordinator) execute(ctx context.Context, spec api.RunRequest) (api.RunResult, error) {
+	job, err := resolve(spec)
 	if err != nil {
-		return sim.Result{}, "", "", err
+		return api.RunResult{}, err
 	}
 	key := string(job.Key())
 	start := time.Now()
-	defer func() {
-		if err == nil && c.met != nil {
-			c.met.jobLatency.Observe(uint64(time.Since(start).Milliseconds()))
-		}
-	}()
+	res, source, workerID, err := c.answer(ctx, spec, key)
+	if err != nil {
+		return api.RunResult{}, err
+	}
+	if c.met != nil {
+		c.met.jobLatency.Observe(uint64(time.Since(start).Milliseconds()))
+	}
+	return api.RunResult{Key: key, Source: source, Worker: workerID, Result: res}, nil
+}
 
-	if res, ok := c.lru.get(key); ok {
+// answer finds key's result in the first tier that holds it, dispatching
+// spec to a worker when none does.
+func (c *Coordinator) answer(ctx context.Context, spec api.RunRequest, key string) (res sim.Result, source, workerID string, err error) {
+	if res, ok := c.lru.Get(key); ok {
 		if c.met != nil {
 			c.met.memHits.Inc()
 		}
-		return res, SourceMemory, "", nil
+		return res, api.SourceMemory, "", nil
 	}
 	if c.store != nil {
 		res, ok, serr := c.store.Get(key)
@@ -365,11 +382,11 @@ func (c *Coordinator) execute(ctx context.Context, spec JobSpec) (res sim.Result
 			// take the cluster down: log, recompute, and overwrite.
 			c.logf("cluster: store read for %s: %v (recomputing)", key, serr)
 		} else if ok {
-			c.lru.put(key, res)
+			c.lru.Put(key, res)
 			if c.met != nil {
 				c.met.storeHits.Inc()
 			}
-			return res, SourceStore, "", nil
+			return res, api.SourceStore, "", nil
 		}
 	}
 
@@ -378,7 +395,7 @@ func (c *Coordinator) execute(ctx context.Context, spec JobSpec) (res sim.Result
 
 	attempt := 0
 	for {
-		owners := c.currentRing().owners(job.Key(), c.opts.MaxAttempts)
+		owners := c.currentRing().owners(engine.Key(key), maxAttempts)
 		if len(owners) == 0 {
 			return sim.Result{}, "", "", errNoWorkers
 		}
@@ -398,7 +415,7 @@ func (c *Coordinator) execute(ctx context.Context, spec JobSpec) (res sim.Result
 			attempt++
 			res, derr := c.dispatch(ctx, w, spec, key)
 			if derr == nil {
-				c.lru.put(key, res)
+				c.lru.Put(key, res)
 				if c.store != nil {
 					if perr := c.store.Put(key, res); perr != nil {
 						c.logf("cluster: store write for %s: %v", key, perr)
@@ -408,7 +425,7 @@ func (c *Coordinator) execute(ctx context.Context, spec JobSpec) (res sim.Result
 					c.met.computed.Inc()
 					c.met.routedTo(id).Inc()
 				}
-				return res, SourceComputed, id, nil
+				return res, api.SourceComputed, id, nil
 			}
 			if ctx.Err() != nil {
 				return sim.Result{}, "", "", ctx.Err()
@@ -437,8 +454,8 @@ func (c *Coordinator) execute(ctx context.Context, spec JobSpec) (res sim.Result
 
 // dispatch sends one job to one worker and decodes the result, verifying
 // the worker derived the same canonical key.
-func (c *Coordinator) dispatch(ctx context.Context, w *workerState, spec JobSpec, key string) (sim.Result, error) {
-	raw, err := json.Marshal(ExecuteRequest{Spec: spec, Key: key})
+func (c *Coordinator) dispatch(ctx context.Context, w *workerState, spec api.RunRequest, key string) (sim.Result, error) {
+	raw, err := json.Marshal(api.ExecuteRequest{Spec: spec, Key: key})
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -456,7 +473,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, spec JobSpec
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 2048))
-		var e errorResponse
+		var e api.Error
 		errMsg := string(bytes.TrimSpace(msg))
 		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
 			errMsg = e.Error
@@ -471,7 +488,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, spec JobSpec
 		}
 		return sim.Result{}, fmt.Errorf("worker %s: %s: %s", w.id, resp.Status, errMsg)
 	}
-	var out ExecuteResponse
+	var out api.ExecuteResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return sim.Result{}, fmt.Errorf("worker %s: decoding response: %w", w.id, err)
 	}
@@ -486,16 +503,16 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, spec JobSpec
 
 // Stats is a point-in-time snapshot of cluster activity.
 type Stats struct {
-	Workers       []WorkerInfo `json:"workers"`
-	Runs          uint64       `json:"runs"`
-	Sweeps        uint64       `json:"sweeps"`
-	Retries       uint64       `json:"retries"`
-	WorkerFails   uint64       `json:"worker_failures"`
-	ActiveJobs    int64        `json:"active_jobs"`
-	MemoryEntries int          `json:"memory_entries"`
-	RateClients   int          `json:"rate_clients"`
-	Store         *store.Stats `json:"store,omitempty"`
-	UptimeMS      int64        `json:"uptime_ms"`
+	Workers       []api.WorkerInfo `json:"workers"`
+	Runs          uint64           `json:"runs"`
+	Sweeps        uint64           `json:"sweeps"`
+	Retries       uint64           `json:"retries"`
+	WorkerFails   uint64           `json:"worker_failures"`
+	ActiveJobs    int64            `json:"active_jobs"`
+	MemoryEntries int              `json:"memory_entries"`
+	RateClients   int              `json:"rate_clients"`
+	Store         *store.Stats     `json:"store,omitempty"`
+	UptimeMS      int64            `json:"uptime_ms"`
 }
 
 // Stats snapshots the coordinator.
@@ -507,7 +524,7 @@ func (c *Coordinator) Stats() Stats {
 		Retries:       c.retries.Load(),
 		WorkerFails:   c.fails.Load(),
 		ActiveJobs:    c.active.Load(),
-		MemoryEntries: c.lru.len(),
+		MemoryEntries: c.lru.Len(),
 		RateClients:   c.limiter.clients(),
 		UptimeMS:      time.Since(c.start).Milliseconds(),
 	}
@@ -516,12 +533,4 @@ func (c *Coordinator) Stats() Stats {
 		st.Store = &ss
 	}
 	return st
-}
-
-func sortWorkerInfos(ws []WorkerInfo) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }

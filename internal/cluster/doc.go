@@ -16,7 +16,10 @@
 //
 // The coordinator's public surface mirrors single-node doppeld (/v1/run,
 // /v1/sweep, /healthz, /stats, /metrics) and adds the cluster control plane
-// (/v1/cluster/register, /heartbeat, /deregister, /workers). /v1/sweep can
+// (/v1/cluster/register, /heartbeat, /deregister, /workers). Requests,
+// replies and their resolution come from package api, the same path
+// doppeld takes; the coordinator refuses the run fields a shared, cached
+// result cannot carry (trace, trace_events, checkpoint, timeout_ms). /v1/sweep can
 // stream per-cell progress as Server-Sent Events or NDJSON. Admission
 // control rejects work beyond the queue bound, and per-client token
 // buckets rate-limit request ingress; both answer 429 with Retry-After.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"doppelganger/api"
 	"doppelganger/internal/cluster/store"
 	"doppelganger/internal/engine"
 	"doppelganger/internal/workload"
@@ -26,14 +27,14 @@ func TestAcceptanceClusterSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix acceptance sweep skipped in -short mode")
 	}
-	sweep := SweepSpec{Schemes: []string{"all"}, Scale: "test"}
+	sweep := api.SweepRequest{Schemes: []string{"all"}, Scale: "test"}
 	if raceEnabled {
 		// The race detector multiplies simulation cost ~10x; three
 		// workloads still cross every scheme, both AP settings, the
 		// mid-sweep kill, and the workerless restart.
 		sweep.Workloads = workload.Names()[:3]
 	}
-	cells, err := sweep.Cells()
+	cells, err := sweep.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +51,8 @@ func TestAcceptanceClusterSweep(t *testing.T) {
 		eng := engine.New(engine.Options{Workers: 2})
 		defer eng.Close()
 		jobs := make([]engine.Job, wantCells)
-		for i, spec := range cells {
-			if jobs[i], err = spec.Resolve(); err != nil {
-				t.Fatalf("resolving cell %d: %v", i, err)
-			}
+		for i, cell := range cells {
+			jobs[i] = engine.Job{Program: cell.Program, Config: cell.Config}
 		}
 		results, err := eng.RunBatch(context.Background(), jobs, nil)
 		if err != nil {
@@ -95,7 +94,7 @@ func TestAcceptanceClusterSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
 	}
-	var sum SweepSummary
+	var sum api.SweepSummary
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatalf("bad summary: %v", err)
 	}
@@ -129,7 +128,7 @@ func TestAcceptanceClusterSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restart sweep status %d: %s", resp.StatusCode, body)
 	}
-	var sum2 SweepSummary
+	var sum2 api.SweepSummary
 	if err := json.Unmarshal(body, &sum2); err != nil {
 		t.Fatalf("bad restart summary: %v", err)
 	}
@@ -137,22 +136,19 @@ func TestAcceptanceClusterSweep(t *testing.T) {
 		t.Fatalf("restart sweep: cells=%d errors=%d, want %d complete (workerless, store-only)",
 			len(sum2.Cells), sum2.Errors, wantCells)
 	}
-	if got := sum2.Sources[SourceStore]; got != wantCells {
-		t.Errorf("restart sources = %v, want all %d cells from %q", sum2.Sources, wantCells, SourceStore)
+	if got := sum2.Sources[api.SourceStore]; got != wantCells {
+		t.Errorf("restart sources = %v, want all %d cells from %q", sum2.Sources, wantCells, api.SourceStore)
 	}
 	checkAgainstReference(t, "restart", cells, sum2, ref)
 }
 
 // checkAgainstReference asserts every sweep cell matches the single-node
 // reference result for the same canonical key, checksum included.
-func checkAgainstReference(t *testing.T, phase string, cells []JobSpec, sum SweepSummary, ref map[string]sim.Result) {
+func checkAgainstReference(t *testing.T, phase string, cells []api.SweepJob, sum api.SweepSummary, ref map[string]sim.Result) {
 	t.Helper()
 	mismatches := 0
 	for i, cell := range sum.Cells {
-		job, err := cells[i].Resolve()
-		if err != nil {
-			t.Fatalf("%s: re-resolving cell %d: %v", phase, i, err)
-		}
+		job := engine.Job{Program: cells[i].Program, Config: cells[i].Config}
 		want, ok := ref[string(job.Key())]
 		if !ok {
 			t.Fatalf("%s: cell %d key %s missing from reference", phase, i, job.Key())

@@ -9,10 +9,10 @@ import (
 	"doppelganger/internal/engine"
 )
 
-// defaultVNodes is the number of virtual nodes per worker. 64 points per
-// worker keeps the expected load imbalance across a handful of workers
-// within a few percent while membership changes stay cheap.
-const defaultVNodes = 64
+// vnodes is the number of virtual nodes per worker. 64 points per worker
+// keeps the expected load imbalance across a handful of workers within a
+// few percent while membership changes stay cheap.
+const vnodes = 64
 
 // ring is an immutable consistent-hash ring: worker IDs placed at vnode
 // points on a uint64 circle. Jobs map to the first point at or after their
@@ -28,10 +28,7 @@ type ringPoint struct {
 }
 
 // newRing places each id at vnodes points derived from SHA-256(id, vnode).
-func newRing(ids []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func newRing(ids []string) *ring {
 	r := &ring{ids: append([]string(nil), ids...)}
 	sort.Strings(r.ids)
 	r.points = make([]ringPoint, 0, len(ids)*vnodes)

@@ -20,7 +20,7 @@ func testKeys(n int) []engine.Key {
 }
 
 func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
-	r := newRing([]string{"w1", "w2", "w3"}, 64)
+	r := newRing([]string{"w1", "w2", "w3"})
 	for _, key := range testKeys(100) {
 		owners := r.owners(key, 3)
 		if len(owners) != 3 {
@@ -43,7 +43,7 @@ func TestRingOwnersDistinctAndDeterministic(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := newRing([]string{"w1", "w2", "w3", "w4"}, 64)
+	r := newRing([]string{"w1", "w2", "w3", "w4"})
 	counts := map[string]int{}
 	const n = 4000
 	for _, key := range testKeys(n) {
@@ -62,8 +62,8 @@ func TestRingBalance(t *testing.T) {
 // cluster relies on for re-sharding: removing one worker moves only keys
 // that worker owned; every other key keeps its primary owner.
 func TestRingMinimalDisruption(t *testing.T) {
-	full := newRing([]string{"w1", "w2", "w3"}, 64)
-	reduced := newRing([]string{"w1", "w3"}, 64)
+	full := newRing([]string{"w1", "w2", "w3"})
+	reduced := newRing([]string{"w1", "w3"})
 	moved, kept := 0, 0
 	for _, key := range testKeys(1000) {
 		before := full.owners(key, 1)[0]
@@ -86,7 +86,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 // worker loss starts with the same successor a rebuilt ring would choose
 // as primary — a retried job lands where future identical jobs will hash.
 func TestRingFailoverOrder(t *testing.T) {
-	full := newRing([]string{"w1", "w2", "w3"}, 64)
+	full := newRing([]string{"w1", "w2", "w3"})
 	for _, key := range testKeys(200) {
 		owners := full.owners(key, 3)
 		var survivors []string
@@ -95,7 +95,7 @@ func TestRingFailoverOrder(t *testing.T) {
 				survivors = append(survivors, id)
 			}
 		}
-		rebuilt := newRing(survivors, 64)
+		rebuilt := newRing(survivors)
 		if got, want := rebuilt.owners(key, 1)[0], owners[1]; got != want {
 			t.Fatalf("key %s: rebuilt primary %s != failover successor %s", key, got, want)
 		}
@@ -121,7 +121,7 @@ func TestKeyPoint(t *testing.T) {
 }
 
 func TestEmptyRing(t *testing.T) {
-	r := newRing(nil, 64)
+	r := newRing(nil)
 	if owners := r.owners("abcd", 3); owners != nil {
 		t.Errorf("empty ring returned owners %v", owners)
 	}

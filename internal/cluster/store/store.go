@@ -124,7 +124,7 @@ func (s *Store) load() error {
 		}
 		keyLen := binary.LittleEndian.Uint32(rec[:4])
 		valLen := binary.LittleEndian.Uint32(rec[4:])
-		if keyLen == 0 || keyLen+valLen > maxRecordLen {
+		if keyLen == 0 || uint64(keyLen)+uint64(valLen) > maxRecordLen {
 			return fmt.Errorf("%w: implausible record lengths (%d,%d) at offset %d in %s",
 				ErrCorrupt, keyLen, valLen, off, s.path)
 		}

@@ -190,6 +190,30 @@ func TestBadMagicAndVersionRejected(t *testing.T) {
 	}
 }
 
+// overflowingLengths is a store file whose first record's key and value
+// lengths sum past 2^32: each is plausible on its own, their uint32 sum
+// wraps to a small number.
+func overflowingLengths() []byte {
+	b := []byte{'D', 'G', 'R', 'S', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(b[4:], Version)
+	binary.LittleEndian.PutUint32(b[8:], 0xFFFFFFFF)
+	binary.LittleEndian.PutUint32(b[12:], 1)
+	return append(b, make([]byte, 64)...)
+}
+
+// TestOverflowingLengthsRefused: record lengths whose sum overflows are
+// corruption, refused before any allocation, not a torn tail truncated
+// away after a 4 GiB one.
+func TestOverflowingLengthsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "overflow.db")
+	if err := os.WriteFile(path, overflowingLengths(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestCompactReclaimsDeadBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.db")
 	s := open(t, path)

@@ -4,17 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
+	"doppelganger/api"
 	"doppelganger/internal/engine"
 )
 
 // Worker is the data-plane surface a doppeld worker process exposes to the
-// coordinator: it resolves job specs against the local workload registry
+// coordinator: it resolves run requests against the local workload registry
 // and executes them on the process's shared engine (worker pool, local LRU,
 // in-flight dedup all apply).
 type Worker struct {
@@ -33,35 +33,31 @@ func (wk *Worker) Handler() http.Handler {
 }
 
 func (wk *Worker) handleExecute(w http.ResponseWriter, r *http.Request) {
-	var req ExecuteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	var req api.ExecuteRequest
+	if err := api.DecodeJSON(r, &req); err != nil {
+		api.Fail(w, err)
 		return
 	}
-	job, err := req.Spec.Resolve()
+	job, err := resolve(req.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		api.Fail(w, err)
 		return
 	}
 	key := string(job.Key())
 	if req.Key != "" && req.Key != key {
 		// Version skew: this worker encodes cache keys differently from the
 		// coordinator. Refuse rather than poison the shared result tier.
-		writeError(w, http.StatusConflict, fmt.Sprintf(
+		api.WriteError(w, http.StatusConflict, fmt.Sprintf(
 			"cache-key mismatch: coordinator derived %s, worker derived %s (mixed cluster versions?)",
 			req.Key, key))
 		return
 	}
 	res, err := wk.Eng.Submit(r.Context(), job)
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusBadRequest
-		}
-		writeError(w, code, err.Error())
+		api.Fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ExecuteResponse{Key: key, Worker: wk.ID, Result: res})
+	api.WriteJSON(w, http.StatusOK, api.ExecuteResponse{Key: key, Worker: wk.ID, Result: res})
 }
 
 // Agent maintains a worker's membership in the cluster: it registers with
@@ -111,14 +107,14 @@ func (a *Agent) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			dctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 			defer cancel()
-			if err := a.post(dctx, "/v1/cluster/deregister", DeregisterRequest{ID: a.ID}, nil); err != nil {
+			if err := a.post(dctx, "/v1/cluster/deregister", api.DeregisterRequest{ID: a.ID}, nil); err != nil {
 				a.logf("cluster: deregister failed: %v", err)
 				return err
 			}
 			a.logf("cluster: deregistered %s", a.ID)
 			return nil
 		case <-t.C:
-			if err := a.post(ctx, "/v1/cluster/heartbeat", HeartbeatRequest{ID: a.ID}, nil); err != nil && ctx.Err() == nil {
+			if err := a.post(ctx, "/v1/cluster/heartbeat", api.HeartbeatRequest{ID: a.ID}, nil); err != nil && ctx.Err() == nil {
 				// A missed heartbeat may mean the coordinator restarted and
 				// lost its view; re-register rather than fade away.
 				a.logf("cluster: heartbeat failed (%v), re-registering", err)
@@ -136,8 +132,8 @@ func (a *Agent) Run(ctx context.Context) error {
 func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	backoff := 100 * time.Millisecond
 	for {
-		var resp RegisterResponse
-		err := a.post(ctx, "/v1/cluster/register", RegisterRequest{ID: a.ID, Addr: a.Addr}, &resp)
+		var resp api.RegisterResponse
+		err := a.post(ctx, "/v1/cluster/register", api.RegisterRequest{ID: a.ID, Addr: a.Addr}, &resp)
 		if err == nil {
 			interval := time.Duration(resp.HeartbeatMS) * time.Millisecond
 			if interval <= 0 {

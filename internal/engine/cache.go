@@ -3,75 +3,69 @@ package engine
 import (
 	"container/list"
 	"sync"
-
-	"doppelganger/sim"
 )
 
-// lruCache is a bounded, mutex-protected least-recently-used result cache.
-// A capacity of zero or less disables caching entirely (every Get misses,
-// every Put is dropped).
-type lruCache struct {
+// LRU is a bounded, mutex-protected least-recently-used map. A capacity of
+// zero or less disables it entirely (every Get misses, every Put is
+// dropped). The engine keeps its result cache in one; the cluster
+// coordinator's memory tier is another.
+type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	items map[Key]*list.Element
+	items map[K]*list.Element
 }
 
-type lruEntry struct {
-	key Key
-	res sim.Result
-	// obs is the run's contract observation for observed jobs (Job.Observe
-	// non-empty; the clause set is part of the key, so a hit always carries
-	// the observation the caller asked for). Zero for blind jobs.
-	obs sim.Observation
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{
+// NewLRU returns an empty LRU holding at most capacity entries.
+func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
+	return &LRU[K, V]{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[Key]*list.Element),
+		items: make(map[K]*list.Element),
 	}
 }
 
-// Get returns the cached result (and, for observed jobs, its observation)
-// for key, promoting it to most recently used.
-func (c *lruCache) Get(key Key) (sim.Result, sim.Observation, bool) {
+// Get returns the value for key, promoting it to most recently used.
+func (c *LRU[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return sim.Result{}, sim.Observation{}, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	return e.res, e.obs, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// Put inserts or refreshes a result, evicting the least recently used entry
+// Put inserts or refreshes a value, evicting the least recently used entry
 // when over capacity.
-func (c *lruCache) Put(key Key, res sim.Result, obs sim.Observation) {
+func (c *LRU[K, V]) Put(key K, val V) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*lruEntry)
-		e.res, e.obs = res, obs
+		el.Value.(*lruEntry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, res: res, obs: obs})
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
-// Len returns the number of cached results.
-func (c *lruCache) Len() int {
+// Len returns the number of entries.
+func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

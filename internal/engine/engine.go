@@ -37,12 +37,21 @@ type Options struct {
 // holds many sweeps' worth of results.
 const DefaultCacheSize = 4096
 
+// cached is one result-cache entry: the run's result and, for observed jobs
+// (Job.Observe non-empty; the clause set is part of the key, so a hit
+// always carries the observation the caller asked for), its contract
+// observation. The observation is zero for blind jobs.
+type cached struct {
+	res sim.Result
+	obs sim.Observation
+}
+
 // Engine executes simulation jobs on a bounded worker pool with result
 // caching and in-flight deduplication. It is safe for concurrent use.
 type Engine struct {
 	workers    int
 	jobTimeout time.Duration
-	cache      *lruCache
+	cache      *LRU[Key, cached]
 	queue      chan *task
 	quit       chan struct{}
 	closeOnce  sync.Once
@@ -111,7 +120,7 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		workers:    workers,
 		jobTimeout: opts.JobTimeout,
-		cache:      newLRUCache(cacheSize),
+		cache:      NewLRU[Key, cached](cacheSize),
 		queue:      make(chan *task),
 		quit:       make(chan struct{}),
 		inflight:   make(map[Key]*task),
@@ -159,12 +168,12 @@ func (e *Engine) SubmitObserved(ctx context.Context, job Job) (sim.Result, sim.O
 	}
 	e.ctr.submitted.Add(1)
 	key := job.Key()
-	if res, obsv, ok := e.cache.Get(key); ok {
+	if hit, ok := e.cache.Get(key); ok {
 		e.ctr.cacheHits.Add(1)
 		if e.met != nil {
 			e.met.cacheHits.Inc()
 		}
-		return res, obsv, nil
+		return hit.res, hit.obs, nil
 	}
 	e.ctr.cacheMiss.Add(1)
 	if e.met != nil {

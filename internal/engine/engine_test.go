@@ -252,23 +252,32 @@ func TestInflightCoalescing(t *testing.T) {
 }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.Put("a", sim.Result{Cycles: 1}, sim.Observation{})
-	c.Put("b", sim.Result{Cycles: 2}, sim.Observation{})
-	if _, _, ok := c.Get("a"); !ok { // promotes a
+	c := NewLRU[Key, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if _, ok := c.Get("a"); !ok { // promotes a
 		t.Fatal("a missing")
 	}
-	c.Put("c", sim.Result{Cycles: 3}, sim.Observation{}) // evicts b (least recently used)
-	if _, _, ok := c.Get("b"); ok {
+	c.Put("c", 3) // evicts b (least recently used)
+	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	for _, k := range []Key{"a", "c"} {
-		if _, _, ok := c.Get(k); !ok {
-			t.Errorf("%s should be cached", k)
+	for k, want := range map[Key]int{"a": 1, "c": 3} {
+		if v, ok := c.Get(k); !ok || v != want {
+			t.Errorf("Get(%s) = %d, %v; want %d, true", k, v, ok, want)
 		}
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
+	}
+	c.Put("a", 10) // refresh in place
+	if v, _ := c.Get("a"); v != 10 || c.Len() != 2 {
+		t.Errorf("refreshed a = %d (len %d), want 10 (len 2)", v, c.Len())
+	}
+	off := NewLRU[Key, int](0)
+	off.Put("a", 1)
+	if _, ok := off.Get("a"); ok || off.Len() != 0 {
+		t.Error("a zero-capacity LRU cached an entry")
 	}
 }
 

@@ -53,7 +53,7 @@ func (e *Engine) execute(t *task) {
 	} else {
 		e.ctr.jobsRun.Add(1)
 		e.ctr.simCycles.Add(res.Cycles)
-		e.cache.Put(t.key, res, obsv)
+		e.cache.Put(t.key, cached{res, obsv})
 		if e.met != nil {
 			e.met.jobs.Inc()
 			sim.RecordMetrics(e.met.reg, res)

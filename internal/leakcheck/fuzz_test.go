@@ -53,7 +53,7 @@ func FuzzLeakage(f *testing.F) {
 			}
 			if leak != nil {
 				t.Errorf("LEAK under %s via %v\ndigest A: %+v\ndigest B: %+v\nreproducer:\n%s",
-					cfg, leak.Components, leak.DigestA, leak.DigestB, p.Disassemble())
+					cfg, leak.Components, leak.ObsA.Micro, leak.ObsB.Micro, p.Disassemble())
 			}
 		}
 	})

@@ -83,13 +83,11 @@ const defaultMaxCycles = 10_000_000
 // the named digest components are attacker-observable state in which the
 // runs — identical but for the secret byte — disagree. ObsA and ObsB hold
 // the full-lattice observations, so the leak can be re-examined under any
-// contract clause; DigestA/DigestB are their legacy µarch projections.
+// contract clause; their Micro fields are the two µarch digests.
 type Leak struct {
 	Params     Params
 	Config     Config
 	Components []string
-	DigestA    sim.MicroDigest
-	DigestB    sim.MicroDigest
 	ObsA       sim.Observation
 	ObsB       sim.Observation
 }
@@ -130,8 +128,7 @@ func Check(ctx context.Context, p Params, cfg Config) (*Leak, error) {
 		return nil, err
 	}
 	if diff := oa.DiffAll(&ob); len(diff) > 0 {
-		return &Leak{Params: p, Config: cfg, Components: diff,
-			DigestA: oa.Micro, DigestB: ob.Micro, ObsA: oa, ObsB: ob}, nil
+		return &Leak{Params: p, Config: cfg, Components: diff, ObsA: oa, ObsB: ob}, nil
 	}
 	return nil, nil
 }

@@ -11,6 +11,8 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 
 	"doppelganger/internal/program"
 )
@@ -24,6 +26,26 @@ const (
 	ScaleTest Scale = iota
 	ScaleFull
 )
+
+// ParseScale maps a scale name to its Scale: "test", or "full" (also the
+// empty name's default).
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "", "full":
+		return ScaleFull, nil
+	case "test":
+		return ScaleTest, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want \"test\" or \"full\")", name)
+}
+
+// String is the scale's name, as ParseScale reads it.
+func (s Scale) String() string {
+	if s == ScaleTest {
+		return "test"
+	}
+	return "full"
+}
 
 // Workload is one synthetic benchmark.
 type Workload struct {
@@ -71,6 +93,36 @@ func Names() []string {
 func ByName(name string) (Workload, bool) {
 	w, ok := registry[name]
 	return w, ok
+}
+
+// built memoizes Program: images are immutable and deterministic per
+// (workload, scale), so every caller in the process shares one.
+var (
+	builtMu sync.Mutex
+	built   = map[builtKey]*program.Program{}
+)
+
+type builtKey struct {
+	name  string
+	scale Scale
+}
+
+// Program returns the named workload built at the scale, building it once
+// per process. Callers must not modify the image.
+func Program(name string, s Scale) (*program.Program, error) {
+	w, ok := ByName(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q; known: %s", name, strings.Join(Names(), ", "))
+	}
+	builtMu.Lock()
+	defer builtMu.Unlock()
+	k := builtKey{name, s}
+	p, ok := built[k]
+	if !ok {
+		p = w.Build(s)
+		built[k] = p
+	}
+	return p, nil
 }
 
 // rng is a deterministic xorshift64* generator for reproducible data.

@@ -108,3 +108,33 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	register(Workload{Name: "stream", Build: buildStream})
 }
+
+func TestParseScaleRoundTrip(t *testing.T) {
+	for _, s := range []Scale{ScaleTest, ScaleFull} {
+		if got, err := ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if got, err := ParseScale(""); err != nil || got != ScaleFull {
+		t.Errorf(`ParseScale("") = %v, %v; want full`, got, err)
+	}
+	if _, err := ParseScale("huge"); err == nil {
+		t.Error(`ParseScale("huge") accepted`)
+	}
+}
+
+func TestProgramMemoized(t *testing.T) {
+	a, err := Program("stream", ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := Program("stream", ScaleTest); b != a {
+		t.Error("a second Program call rebuilt the image")
+	}
+	if full, _ := Program("stream", ScaleFull); full == a {
+		t.Error("two scales share one image")
+	}
+	if _, err := Program("nope", ScaleTest); err == nil {
+		t.Error("unknown workload accepted")
+	}
+}

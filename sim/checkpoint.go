@@ -119,56 +119,9 @@ func NewCoreFromCheckpoint(p *Program, cfg Config, ck *Checkpoint) (*Core, *Prog
 //
 // Passing a nil program runs the checkpoint's embedded program.
 func RunFromCheckpoint(ctx context.Context, p *Program, cfg Config, ck *Checkpoint, opts ...RunOption) (Result, error) {
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
 	c, p, err := NewCoreFromCheckpoint(p, cfg, ck)
 	if err != nil {
 		return Result{}, err
 	}
-	if o.sink != nil {
-		c.SetTraceSink(o.sink)
-	}
-	if o.winOn {
-		c.SetCycleWindow(o.winFrom, o.winTo)
-	}
-	if o.metrics != nil {
-		c.SetMetrics(o.metrics)
-	}
-	if needsTraces(o.observe) {
-		// Observation traces cover the post-restore window only; both
-		// halves of a differential pair restore from checkpoints taken at
-		// the same architectural point, so their traces stay comparable.
-		c.EnableObsTraces()
-	}
-	maxCycles := o.maxCycles
-	if maxCycles == 0 {
-		maxCycles = cfg.MaxCycles
-	}
-	if maxCycles == 0 {
-		maxCycles = DefaultMaxCycles
-	}
-	err = runCore(ctx, c, cfg.MaxInsts, maxCycles)
-	c.FlushTrace()
-	c.FlushMetrics()
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: %q under %v: %w", p.Name, cfg.Scheme, err)
-	}
-	res := Summarize(p, cfg, c)
-	if o.digest != nil {
-		*o.digest = c.MicroDigest()
-	}
-	for _, r := range o.observe {
-		r.capture(c, p)
-	}
-	if o.metrics != nil {
-		RecordMetrics(o.metrics, res)
-	}
-	if f, ok := o.sink.(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			return res, fmt.Errorf("sim: flushing trace sink: %w", err)
-		}
-	}
-	return res, nil
+	return run(ctx, c, p, cfg, opts)
 }

@@ -402,9 +402,9 @@ func ClausesNeedTraces(cs []Clause) bool {
 // identical observation, and several Observe options may be attached to
 // one run.
 //
-// Observe replaces WithMicroArchDigest as the leakage oracle's hook: the
-// legacy digest is exactly the nine µarch components of the full-lattice
-// observation (Observation.Micro).
+// Observe is the leakage oracle's hook: Observation.Micro holds the run's
+// final µarch digest (MicroDigest), the nine µarch components of the
+// full-lattice observation.
 func Observe(out *Observation, clauses ...Clause) RunOption {
 	canon := canonClauses(clauses)
 	return func(o *runOpts) {

@@ -183,14 +183,31 @@ func TestObserveClauseGating(t *testing.T) {
 	arch.Diff(&arch2, sim.CTSpec)
 }
 
+// plainDigest drives a core directly, with nothing attached, and returns
+// its final checksum and µarch digest: the reference an observed run of the
+// same program and configuration must reproduce.
+func plainDigest(p *sim.Program, cfg sim.Config) (uint64, sim.MicroDigest, error) {
+	c, err := sim.NewCore(p, cfg)
+	if err == nil {
+		err = c.Run(cfg.MaxInsts, sim.DefaultMaxCycles)
+	}
+	if err != nil {
+		return 0, sim.MicroDigest{}, err
+	}
+	return c.Checksum(), c.MicroDigest(), nil
+}
+
 // TestObserveDoesNotPerturb: attaching Observe changes neither the
 // architectural result nor the µarch digest of a run.
 func TestObserveDoesNotPerturb(t *testing.T) {
-	var d sim.MicroDigest
-	plain := observeRun(t, sim.WithMicroArchDigest(&d))
+	w, _ := workload.ByName("stream")
+	sum, d, err := plainDigest(w.Build(workload.ScaleTest), sim.Config{Scheme: sim.DoM, AddressPrediction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var o sim.Observation
 	observed := observeRun(t, sim.Observe(&o))
-	if plain.Checksum != observed.Checksum {
+	if sum != observed.Checksum {
 		t.Error("Observe changed the architectural checksum")
 	}
 	if d != o.Micro {
@@ -198,9 +215,9 @@ func TestObserveDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestDigestEquivalenceMatrix is the deprecation contract: across the full
-// workload × scheme × ±AP matrix, WithMicroArchDigest and the full-lattice
-// Observe composition capture checksum-identical µarch digests.
+// TestDigestEquivalenceMatrix: across the full workload × scheme × ±AP
+// matrix, the full-lattice Observe composition captures the same µarch
+// digest as a directly driven core with nothing attached.
 func TestDigestEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix digest equivalence skipped in -short mode")
@@ -236,9 +253,9 @@ func TestDigestEquivalenceMatrix(t *testing.T) {
 			for c := range work {
 				cfg := sim.Config{Scheme: c.scheme, AddressPrediction: c.ap}
 				p := testProgram(t, c.wl)
-				var d sim.MicroDigest
-				if _, err := sim.RunContext(context.Background(), p, cfg, sim.WithMicroArchDigest(&d)); err != nil {
-					t.Errorf("%s/%v/ap=%v legacy: %v", c.wl, c.scheme, c.ap, err)
+				_, d, err := plainDigest(p, cfg)
+				if err != nil {
+					t.Errorf("%s/%v/ap=%v plain: %v", c.wl, c.scheme, c.ap, err)
 					continue
 				}
 				var o sim.Observation
@@ -247,7 +264,7 @@ func TestDigestEquivalenceMatrix(t *testing.T) {
 					continue
 				}
 				if d != o.Micro {
-					t.Errorf("%s/%v/ap=%v: digest != observation:\n  legacy  %+v\n  observe %+v",
+					t.Errorf("%s/%v/ap=%v: digest != observation:\n  plain   %+v\n  observe %+v",
 						c.wl, c.scheme, c.ap, d, o.Micro)
 				}
 			}

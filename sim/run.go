@@ -21,7 +21,6 @@ type runOpts struct {
 	winFrom   uint64
 	winTo     uint64
 	maxCycles uint64
-	digest    *MicroDigest
 	observe   []obsRequest
 }
 
@@ -44,8 +43,8 @@ func WithMetrics(m *obs.Metrics) RunOption {
 }
 
 // WithTraceWindow restricts trace emission to cycles in [from, to]
-// inclusive. Unlike the deprecated Core.SetTraceWindow, a window starting
-// at cycle 0 is valid. Metrics are unaffected by the window.
+// inclusive. A window starting at cycle 0 is valid. Metrics are unaffected
+// by the window.
 func WithTraceWindow(from, to uint64) RunOption {
 	return func(o *runOpts) { o.winOn, o.winFrom, o.winTo = true, from, to }
 }
@@ -59,28 +58,9 @@ func WithMaxCycles(n uint64) RunOption {
 // MicroDigest fingerprints the attacker-observable micro-architectural
 // state of a finished run: cycle count, cache tag/LRU contents at every
 // level, the MSHR occupancy timeline, traffic counters, and predictor
-// tables. It is the oracle of the differential leakage checker — see
-// internal/leakcheck and WithMicroArchDigest.
+// tables. Observe captures it as Observation.Micro; internal/leakcheck
+// diffs it between the two runs of a differential pair.
 type MicroDigest = pipeline.MicroDigest
-
-// WithMicroArchDigest fills *d with the run's final micro-architectural
-// digest. Two runs of programs differing only in secret data must produce
-// equal digests under a secure speculation scheme; any component that
-// differs names a side channel through which the secret escaped.
-//
-// Deprecated: use Observe, which exposes the same nine µarch components
-// (as Observation.Micro, captured identically) plus per-clause contract
-// visibility, secret labeling and trace digests. WithMicroArchDigest is
-// the projection of the full-lattice observation onto its µarch
-// components: for any run,
-//
-//	var d MicroDigest              var o Observation
-//	..., WithMicroArchDigest(&d)   ..., Observe(&o)
-//
-// yield d == o.Micro, checksum-identical component by component.
-func WithMicroArchDigest(d *MicroDigest) RunOption {
-	return func(o *runOpts) { o.digest = d }
-}
 
 // stepChunk is how many cycles RunContext simulates between context
 // checks when the context is cancellable.
@@ -94,13 +74,19 @@ const stepChunk = 1 << 16
 // run takes the same uninterrupted path as Run — the observability hooks
 // cost one predictable branch each when nothing is attached.
 func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (Result, error) {
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
 	c, err := NewCore(p, cfg)
 	if err != nil {
 		return Result{}, err
+	}
+	return run(ctx, c, p, cfg, opts)
+}
+
+// run is the body RunContext and RunFromCheckpoint share once their core
+// is built: attach the options, simulate, flush, and summarise.
+func run(ctx context.Context, c *Core, p *Program, cfg Config, opts []RunOption) (Result, error) {
+	var o runOpts
+	for _, opt := range opts {
+		opt(&o)
 	}
 	if o.sink != nil {
 		c.SetTraceSink(o.sink)
@@ -112,6 +98,10 @@ func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) 
 		c.SetMetrics(o.metrics)
 	}
 	if needsTraces(o.observe) {
+		// A restored core's observation traces cover the post-restore
+		// window only; both halves of a differential pair restore from
+		// checkpoints taken at the same architectural point, so their
+		// traces stay comparable.
 		c.EnableObsTraces()
 	}
 	maxCycles := o.maxCycles
@@ -121,7 +111,7 @@ func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) 
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
 	}
-	err = runCore(ctx, c, cfg.MaxInsts, maxCycles)
+	err := runCore(ctx, c, cfg.MaxInsts, maxCycles)
 	// The chunked (cancellable) path steps the core directly, bypassing
 	// Core.Run's exit flush; deliver buffered trace events and batched
 	// metrics on every outcome so attached sinks and registries are
@@ -132,9 +122,6 @@ func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) 
 		return Result{}, fmt.Errorf("sim: %q under %v: %w", p.Name, cfg.Scheme, err)
 	}
 	res := Summarize(p, cfg, c)
-	if o.digest != nil {
-		*o.digest = c.MicroDigest()
-	}
 	for _, r := range o.observe {
 		r.capture(c, p)
 	}
