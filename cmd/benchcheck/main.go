@@ -9,7 +9,8 @@
 // even when it is too cheap to move ns/op, and a buffer that grows with run
 // length is caught even when it reallocates too rarely to move allocs/op.
 //
-// Write a baseline (commit the output as BENCH_baseline.json):
+// Write a baseline (commit the output as BENCH_baseline.json); the
+// baseline it replaces is appended to BENCH_history.json beside it:
 //
 //	go test -run '^$' -bench . -benchmem -count=6 ./sim | benchcheck -write BENCH_baseline.json
 //
@@ -25,11 +26,14 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -135,7 +139,18 @@ func main() {
 // writeBaseline marshals the medians as a baseline file. Alloc and byte
 // medians are only recorded when every parsed benchmark carried them (a
 // mixed run would otherwise silently un-gate the missing ones forever).
+// historyFile is the trajectory -write keeps beside the baseline: every
+// baseline it replaces, oldest first, so re-recording never loses the
+// numbers the gate used to hold.
+const historyFile = "BENCH_history.json"
+
+// writeBaseline writes the medians as the baseline at path, first
+// appending the baseline it replaces, if any, to historyFile in the same
+// directory.
 func writeBaseline(path, note string, meds map[string]medians) error {
+	if err := appendHistory(path); err != nil {
+		return err
+	}
 	b := Baseline{Note: note, NsPerOp: make(map[string]float64, len(meds))}
 	allMem := true
 	for _, m := range meds {
@@ -160,6 +175,38 @@ func writeBaseline(path, note string, meds map[string]medians) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// appendHistory appends the baseline at path, if one exists, to the
+// history file beside it.
+func appendHistory(path string) error {
+	old, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var prev Baseline
+	if err := json.Unmarshal(old, &prev); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	hpath := filepath.Join(filepath.Dir(path), historyFile)
+	var history []Baseline
+	switch data, err := os.ReadFile(hpath); {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return err
+	default:
+		if err := json.Unmarshal(data, &history); err != nil {
+			return fmt.Errorf("%s: %w", hpath, err)
+		}
+	}
+	data, err := json.MarshalIndent(append(history, prev), "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(hpath, append(data, '\n'), 0o644)
 }
 
 // compare prints the per-benchmark table and verdicts and returns the

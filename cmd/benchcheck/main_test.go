@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -209,5 +213,46 @@ func TestGeomeanMath(t *testing.T) {
 	}
 	if code, _, _ := compareResult(t, base, meds, want-0.001, 1.10); code != 1 {
 		t.Error("geomean just over threshold should fail")
+	}
+}
+
+// TestWriteKeepsReplacedBaselinesInHistory pins the ledger: the first
+// -write creates the baseline and no history, and every later one appends
+// the baseline it replaces to BENCH_history.json beside it, oldest first.
+func TestWriteKeepsReplacedBaselinesInHistory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_baseline.json")
+	hpath := filepath.Join(dir, historyFile)
+	for i, ns := range []float64{300, 200, 100} {
+		meds := map[string]medians{"BenchmarkRunUntraced": {ns: ns, allocs: 60, bytes: 4096, hasMem: true}}
+		if err := writeBaseline(path, fmt.Sprintf("run %d", i), meds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var base Baseline
+	readJSON(t, path, &base)
+	if base.Note != "run 2" || base.NsPerOp["BenchmarkRunUntraced"] != 100 {
+		t.Errorf("baseline = %+v, want the last write", base)
+	}
+	var history []Baseline
+	readJSON(t, hpath, &history)
+	if len(history) != 2 {
+		t.Fatalf("history holds %d baselines, want the 2 replaced", len(history))
+	}
+	for i, want := range []float64{300, 200} {
+		if got := history[i].NsPerOp["BenchmarkRunUntraced"]; got != want || history[i].Note != fmt.Sprintf("run %d", i) {
+			t.Errorf("history[%d] = %+v, want run %d at %v ns/op", i, history[i], i, want)
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatal(err)
 	}
 }

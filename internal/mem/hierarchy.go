@@ -280,6 +280,14 @@ func (h *Hierarchy) findMSHR(lineAddr uint64) (mshr, bool) {
 	return mshr{}, false
 }
 
+// ExpireFills releases the MSHRs whose fills have completed by cycle now:
+// the sweep every Access starts with. No access's outcome depends on when
+// it runs, but which completed fills the file still lists, and so a
+// checkpoint of it (State), does. A caller that holds a rejected access
+// back instead of retrying it calls this where the retry would have run,
+// so the file evolves as it does under retrying.
+func (h *Hierarchy) ExpireFills(now uint64) { h.expire(now) }
+
 // OutstandingMisses reports the number of occupied demand L1 MSHRs at cycle
 // now (prefetch fills excluded, as they do not count against the limit).
 func (h *Hierarchy) OutstandingMisses(now uint64) int {
@@ -367,10 +375,7 @@ func (h *Hierarchy) Access(now, addr uint64, class Class, opts AccessOptions) Ac
 			return AccessResult{Latency: lat, Level: LevelL2, Merged: true}
 		}
 		if !opts.NoMSHR && !opts.Prefetch && h.demand >= h.cfg.L1MSHRs {
-			h.RejectedMSHR++
-			if j != nil {
-				j.add(undoRec{seq: seq, kind: undoReject})
-			}
+			h.CountRejected(1, seq)
 			return AccessResult{Rejected: true}
 		}
 	}
@@ -447,6 +452,56 @@ func (h *Hierarchy) Access(now, addr uint64, class Class, opts AccessOptions) Ac
 	}
 	h.countAccess(level)
 	return AccessResult{Latency: latency, Level: level}
+}
+
+// CountRejected counts n MSHR-full rejections of a demand or doppelganger
+// access to the line. A caller that holds a rejected access back until
+// MSHRStall says it may pass, instead of retrying it every cycle, credits
+// here the retries the file would have turned away meanwhile. With a
+// rollback journal attached and undoSeq non-zero, the count is journaled
+// under undoSeq as Access's own rejections are.
+func (h *Hierarchy) CountRejected(n, undoSeq uint64) {
+	h.RejectedMSHR += n
+	if h.undo != nil && undoSeq != 0 {
+		h.undo.addRejects(undoSeq, n)
+	}
+}
+
+// MSHRStall reports, without side effects, whether a demand or
+// doppelganger access to addr at cycle now would be rejected by a full
+// MSHR file (the line neither usable in the L1 nor covered by an
+// outstanding fill). If so, until is the earliest later cycle at which,
+// with no further access, it might not be: when an outstanding demand fill
+// completes and frees its MSHR, or the line's L1 copy becomes usable. Only
+// an access, a rollback or a restore can otherwise change the verdict, and
+// then only by filling an MSHR or the L1 — for this line, or by rolling an
+// allocation back.
+func (h *Hierarchy) MSHRStall(now, addr uint64) (until uint64, stalled bool) {
+	la := LineAddr(addr)
+	until = ^uint64(0)
+	if _, _, l := h.L1D.findWay(la); l != nil {
+		if l.readyAt <= now {
+			return 0, false
+		}
+		until = l.readyAt
+	}
+	demand := 0
+	for _, m := range h.mshrs {
+		if m.doneAt <= now {
+			continue // expired: Access would sweep it first
+		}
+		if m.lineAddr == la {
+			return 0, false // merges with the in-flight fill
+		}
+		if !m.prefetch {
+			demand++
+			until = min(until, m.doneAt)
+		}
+	}
+	if demand < h.cfg.L1MSHRs {
+		return 0, false
+	}
+	return until, true
 }
 
 // noteWriteback counts one dirty-line eviction at the given level (dram

@@ -237,3 +237,50 @@ func TestMarkDirtyOnHit(t *testing.T) {
 		t.Error("store-hit-dirtied line evicted without writeback")
 	}
 }
+
+// TestMSHRStallMatchesAccess checks the side-effect-free MSHRStall against
+// Access itself over a random mix of demand, doppelganger, prefetch and
+// committed-store traffic: it must predict every MSHR-full rejection, and
+// a stalled verdict must hold, absent further accesses, until the cycle it
+// names.
+func TestMSHRStallMatchesAccess(t *testing.T) {
+	h := tinyHierarchy()
+	x := uint64(3)
+	now := uint64(0)
+	stalls := 0
+	for i := 0; i < 100_000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		now += x % 9
+		addr := 0x10000 + x%256*64
+		switch x % 7 {
+		case 0:
+			h.Access(now, addr, ClassPrefetch, AccessOptions{Prefetch: true})
+			continue
+		case 1:
+			h.Access(now, addr, ClassWriteback, AccessOptions{NoMSHR: true, Write: true})
+			continue
+		}
+		until, stalled := h.MSHRStall(now, addr)
+		if stalled {
+			stalls++
+			if until <= now {
+				t.Fatalf("access %d: stalled at cycle %d until %d", i, now, until)
+			}
+			if _, still := h.MSHRStall(until-1, addr); !still {
+				t.Fatalf("access %d: stall at cycle %d lifted before the cycle %d it names", i, now, until)
+			}
+		}
+		class := ClassDemand
+		if x%3 == 0 {
+			class = ClassDoppelganger
+		}
+		if r := h.Access(now, addr, class, AccessOptions{}); r.Rejected != stalled {
+			t.Fatalf("access %d at cycle %d: MSHRStall says %v, Access rejected %v", i, now, stalled, r.Rejected)
+		}
+	}
+	if stalls == 0 {
+		t.Fatal("scenario too tame: the MSHR file never filled")
+	}
+}

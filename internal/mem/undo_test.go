@@ -387,19 +387,23 @@ func TestUndoRollbackAcrossCompaction(t *testing.T) {
 	live := h.UndoPending()
 
 	// Epoch seq+1 overflows the slice: its first records land before the
-	// slide, the rest after it.
+	// slide, the rest after it. Its misses are spaced past the fill
+	// latency, so each takes an MSHR instead of being turned away (a
+	// rejection is tallied, not logged).
 	spec := AccessOptions{UndoSeq: seq + 1}
 	h.Access(now, 0x50000, ClassDemand, spec)
 	if j.head == 0 {
 		t.Fatal("journal slid before the epoch began")
 	}
+	at := now
 	for i := uint64(1); j.head != 0; i++ {
 		if i > 64 {
 			t.Fatal("journal never slid its live window")
 		}
-		h.Access(now+i, 0x50000+i*0x240, ClassDemand, spec)
+		at += 300
+		h.Access(at, 0x50000+i*0x240, ClassDemand, spec)
 	}
-	h.Access(now+100, 0x10200, ClassDemand, AccessOptions{UndoSeq: seq + 1, Write: true, NoMSHR: true})
+	h.Access(at+100, 0x10200, ClassDemand, AccessOptions{UndoSeq: seq + 1, Write: true, NoMSHR: true})
 
 	h.RollbackAfter(seq)
 	if got := printOf(h, now); got != before {
@@ -479,5 +483,92 @@ func TestDemandMSHRCountMatchesRecount(t *testing.T) {
 	}
 	if restores == 0 || rejected == 0 {
 		t.Fatalf("scenario too tame: %d restores, %d MSHR rejections", restores, rejected)
+	}
+}
+
+// TestRejectedRetriesRollBackWithTheirLoad pins the journal's rejection
+// tally: the MSHR-full retries of a squashed instruction — turned away by
+// Access or credited in one sum by CountRejected — leave RejectedMSHR as if
+// they were never made, a surviving instruction's retries stay once
+// retired, and however long a stall lasts it holds one journal entry.
+func TestRejectedRetriesRollBackWithTheirLoad(t *testing.T) {
+	h := undoHierarchy(UndoOptions{})
+	twin := undoHierarchy(UndoOptions{}) // never makes instruction 4's retries
+	for _, g := range []*Hierarchy{h, twin} {
+		// Two misses fill the two-entry MSHR file until cycle 114.
+		g.Access(0, 0x10000, ClassDemand, AccessOptions{UndoSeq: 1})
+		g.Access(0, 0x20000, ClassDemand, AccessOptions{UndoSeq: 2})
+	}
+	base := h.UndoPending()
+	for now := uint64(1); now <= 5; now++ {
+		for _, g := range []*Hierarchy{h, twin} {
+			if r := g.Access(now, 0x30000, ClassDemand, AccessOptions{UndoSeq: 3}); !r.Rejected {
+				t.Fatalf("cycle %d: access with a full MSHR file was not rejected", now)
+			}
+		}
+		if r := h.Access(now, 0x40000, ClassDoppelganger, AccessOptions{UndoSeq: 4}); !r.Rejected {
+			t.Fatalf("cycle %d: doppelganger access with a full MSHR file was not rejected", now)
+		}
+	}
+	h.CountRejected(10, 3)
+	twin.CountRejected(10, 3)
+	h.CountRejected(1000, 4)
+	if h.RejectedMSHR != 5+10+5+1000 {
+		t.Fatalf("RejectedMSHR = %d, want %d", h.RejectedMSHR, 5+10+5+1000)
+	}
+	if got := h.UndoPending() - base; got != 2 {
+		t.Errorf("two stalled instructions hold %d journal entries, want one tally each", got)
+	}
+
+	h.RollbackAfter(3)
+	if got, want := printOf(h, 6), printOf(twin, 6); got != want {
+		t.Errorf("rolling back instruction 4 left a trace of its retries:\ngot  %+v\nwant %+v", got, want)
+	}
+	h.RetireUpTo(3)
+	if h.RejectedMSHR != 15 {
+		t.Errorf("retired retries: RejectedMSHR = %d, want 15", h.RejectedMSHR)
+	}
+	if h.UndoPending() != 0 {
+		t.Errorf("%d journal entries pending after retiring every instruction", h.UndoPending())
+	}
+	h.RollbackAfter(0)
+	if h.RejectedMSHR != 15 {
+		t.Errorf("a rollback after retirement took back retired retries: RejectedMSHR = %d", h.RejectedMSHR)
+	}
+}
+
+// TestUndoRecordsPerAccessBound drives tagged accesses whose fills evict
+// dirty lines at every level and checks that no single access logs more
+// than UndoRecordsPerAccess records, the bound the pipeline's journal-depth
+// invariant is built on.
+func TestUndoRecordsPerAccessBound(t *testing.T) {
+	h := undoHierarchy(UndoOptions{})
+	x := uint64(7)
+	peak := 0
+	for seq := uint64(1); seq <= 200_000; seq++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// A 1 MiB region over the 64 KiB L3: most accesses miss to DRAM,
+		// and every other one dirties its line.
+		addr := 0x100000 + x%(1<<14)*64
+		opts := AccessOptions{UndoSeq: seq, Write: seq%2 == 0}
+		if x%5 == 0 {
+			opts.Prefetch = true
+		}
+		before := len(h.undo.recs)
+		h.Access(seq*200, addr, ClassDemand, opts)
+		n := len(h.undo.recs) - before
+		if before > len(h.undo.recs) {
+			n = len(h.undo.recs) // the live window slid to index 0
+		}
+		peak = max(peak, n)
+		h.RetireUpTo(seq)
+	}
+	if peak > UndoRecordsPerAccess {
+		t.Fatalf("one access logged %d records, over UndoRecordsPerAccess = %d", peak, UndoRecordsPerAccess)
+	}
+	if peak < 12 {
+		t.Fatalf("scenario too tame: at most %d records per access", peak)
 	}
 }

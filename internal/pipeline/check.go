@@ -1,6 +1,11 @@
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"doppelganger/internal/mem"
+)
 
 // CheckInvariants validates the machine's structural invariants: rename-map
 // consistency, physical-register accounting, queue cross-links, and
@@ -128,19 +133,40 @@ func (c *Core) CheckInvariants() error {
 	}
 
 	// Undo journal: with no instruction in flight, every journaled side
-	// effect has either retired (commit) or been rolled back (squash).
-	if c.undoOn && c.rob.empty() && c.hier.UndoPending() > 0 {
-		return fmt.Errorf("empty ROB but %d unretired undo-journal records", c.hier.UndoPending())
+	// effect has either retired (commit) or been rolled back (squash); and
+	// the journal never outgrows the in-flight window.
+	if c.undoOn {
+		if c.rob.empty() && c.hier.UndoPending() > 0 {
+			return fmt.Errorf("empty ROB but %d unretired undo-journal records", c.hier.UndoPending())
+		}
+		if n, max := c.hier.UndoPending(), c.undoBound(); n > max {
+			return fmt.Errorf("%d undo-journal records pending, over the in-flight bound %d", n, max)
+		}
 	}
 	return nil
+}
+
+// undoBound caps the undo journal's depth by the load-queue window. Only
+// loads journal: each performs at most a real and a doppelganger access,
+// each firing at most PrefetchDegree prefetches under the load's sequence
+// number, and each access logs at most mem.UndoRecordsPerAccess records.
+// Records retire from the front in perform order, so a committed load's
+// records can outlive it behind an older record of an in-flight load H;
+// but they were logged while both sat in the load queue, so every owner
+// of a pending record lies within LQSize-1 loads before H or is in flight
+// itself: at most 2*LQSize-1 loads. Rejections add one tally per in-flight
+// load, however long its stall.
+func (c *Core) undoBound() int {
+	perLoad := 2 * (1 + c.cfg.PrefetchDegree) * mem.UndoRecordsPerAccess
+	return (2*c.cfg.LQSize-1)*perLoad + c.cfg.LQSize
 }
 
 // checkWake validates the event-driven queues (wake.go). Issue queue: the
 // queued uops number iqLen, and one is in the ready set exactly when its
 // issue-time sources are all ready, its pending count matching the sources
-// it still waits on. Load queue: no entry that the next pass would skip —
-// neither awake nor due from the timing wheel — has a guard open at that
-// cycle, judged by loadWake's side-effect-free copy of the pass's guards.
+// it still waits on. Load queue: see checkLoadWake, judged for the next
+// cycle. Branch queue: a branch whose gate was found shut has it shut
+// still, and a walk the next cycle skips would find no outcome due.
 func (c *Core) checkWake() error {
 	queued := 0
 	for i := 0; i < c.rob.len(); i++ {
@@ -177,16 +203,87 @@ func (c *Core) checkWake() error {
 		return nil
 	}
 	next := c.cycle + 1
-	timers := c.timerSlot(next)
-	for i := 0; i < c.lq.len(); i++ {
-		idx := c.lq.at(i)
-		if c.lqAwake.has(idx) || timers.has(idx) {
+	if err := c.checkLoadWake(next, c.timerSlot(next)); err != nil {
+		return err
+	}
+	skip := next < c.brDueAt && c.shadowMoves == c.brSeen
+	for _, u := range c.pendingResolve {
+		if u.resolved {
 			continue
 		}
-		e := &c.lqEntries[idx]
-		if due, _, _ := c.loadWake(e, next); due {
-			return fmt.Errorf("lq[%d] seq %d: parked with work due at cycle %d", i, e.u.seq, next)
+		shut := u.gateShut == c.shadowMoves+1
+		if shut && c.canResolveBranch(u) {
+			return fmt.Errorf("branch seq %d: parked on a gate that is open", u.seq)
 		}
+		if skip && !shut && u.outcomeAt <= next {
+			return fmt.Errorf("branch seq %d: outcome due at cycle %d but the walk is skipped", u.seq, next)
+		}
+	}
+	return nil
+}
+
+// checkLoadWake validates the load queue's wake state for a pass at cycle
+// now, whose released timers are due (nil once the pass has released
+// them into lqAwake). Every entry the pass would skip has no guard open,
+// judged by loadWake's side-effect-free copy of the pass's guards, and is
+// parked on what it waits for: its stall matches loadWake's, an
+// MSHR-stalled load would still be turned away (mem.Hierarchy.MSHRStall),
+// an STT-stalled load's taint root is still speculative, and a load
+// waiting on speculation state is in lqSpec. lqMSHR holds exactly the
+// MSHR-stalled loads, and no stall is counted past the last pass.
+//
+// CheckInvariants runs it after each cycle for the next one; the pass
+// also runs it first thing under SelfCheck, which catches a wake missed
+// by an event earlier in the same cycle (a commit, squash or store
+// resolution) before another load can act on the state that event freed.
+func (c *Core) checkLoadWake(now uint64, timers bitset) error {
+	stalledMSHR := 0
+	for i := 0; i < c.lq.len(); i++ {
+		idx := c.lq.at(i)
+		e := &c.lqEntries[idx]
+		if (e.stall == stallMSHR) != c.lqMSHR.has(idx) {
+			return fmt.Errorf("lq[%d] seq %d: stall %d but MSHR-parked %v", i, e.u.seq, e.stall, c.lqMSHR.has(idx))
+		}
+		if e.stall != stallNone && e.stallSince > c.passAt {
+			return fmt.Errorf("lq[%d] seq %d: stall counted through cycle %d, after the last pass %d",
+				i, e.u.seq, e.stallSince, c.passAt)
+		}
+		if e.stall == stallMSHR {
+			stalledMSHR++
+		}
+		if c.lqAwake.has(idx) || timers != nil && timers.has(idx) {
+			continue
+		}
+		w := c.loadWake(e, now)
+		if w.due {
+			return fmt.Errorf("lq[%d] seq %d: parked with work due at cycle %d", i, e.u.seq, now)
+		}
+		if w.stall != e.stall {
+			return fmt.Errorf("lq[%d] seq %d: parked as stall %d but its wait is stall %d", i, e.u.seq, e.stall, w.stall)
+		}
+		if (w.spec || w.root) && !(c.lqSpec.has(idx) && e.waitSpec == w.spec && e.waitRoot == w.root) {
+			return fmt.Errorf("lq[%d] seq %d: waits on speculation state (self %v, root %v) but is not parked on it",
+				i, e.u.seq, w.spec, w.root)
+		}
+		switch e.stall {
+		case stallMSHR:
+			if _, stalled := c.hier.MSHRStall(now, e.stallLine); !stalled {
+				return fmt.Errorf("lq[%d] seq %d: parked on a full MSHR file that would take line %#x at cycle %d",
+					i, e.u.seq, e.stallLine, now)
+			}
+		case stallTaint:
+			if !c.taints.RootSpeculative(e.addrTaintRoot) || !c.lqSpec.has(idx) {
+				return fmt.Errorf("lq[%d] seq %d: parked on taint root %d, which is no longer speculative",
+					i, e.u.seq, e.addrTaintRoot)
+			}
+		}
+	}
+	members := 0
+	for _, w := range c.lqMSHR {
+		members += bits.OnesCount64(w)
+	}
+	if members != stalledMSHR {
+		return fmt.Errorf("%d MSHR-parked slots but %d MSHR-stalled loads", members, stalledMSHR)
 	}
 	return nil
 }

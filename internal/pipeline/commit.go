@@ -141,7 +141,7 @@ func (c *Core) commitStore(u *uop) {
 	e := &c.sqEntries[u.sqIdx]
 
 	c.backing.store(e.addr, e.data)
-	res := c.hier.Access(c.cycle, e.addr, mem.ClassWriteback, mem.AccessOptions{NoMSHR: true, Write: true})
+	res := c.access(e.addr, mem.ClassWriteback, mem.AccessOptions{NoMSHR: true, Write: true})
 	if c.obsOn {
 		c.obsCommitMem(obsTagStore, e.addr)
 		c.obsSpecAccess(uint8(mem.ClassWriteback), e.addr)

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"doppelganger/internal/mem"
 	"doppelganger/internal/program"
 	"doppelganger/internal/secure"
 )
@@ -43,6 +44,11 @@ func TestFuzzRandomConfigurations(t *testing.T) {
 		}
 
 		p := randomProgram(uint64(round)*1013+7, 8+r.intn(16), 40+r.intn(60))
+		if r.intn(2) == 0 {
+			// A small L1 with a small MSHR file: loads park on it.
+			cfg.Memory.L1D = mem.CacheConfig{SizeBytes: 512 << r.intn(3), Ways: 2, Latency: 5}
+			cfg.Memory.L1MSHRs = 1 + r.intn(4)
+		}
 		ref := program.Run(p, 5_000_000)
 		c, err := New(cfg, p)
 		if err != nil {

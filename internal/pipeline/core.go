@@ -75,10 +75,23 @@ type Core struct {
 	// cycle (see wake.go): lqAwake holds the LQ slots to visit in the next
 	// pass; lqTimers is a timing wheel of lqWheelSlots slot sets laid end
 	// to end, the one for cycle t released into lqAwake at t's pass;
-	// lqSpec holds slots parked until the oldest unresolved shadow moves.
+	// lqSpec holds slots parked until a shadow frontier passes them or
+	// their taint root, lqMSHR those parked on a full MSHR file. passAt is
+	// the cycle of the last pass, the last one a parked load's stall
+	// counter can owe.
 	lqAwake  bitset
 	lqSpec   bitset
+	lqMSHR   bitset
 	lqTimers bitset
+	passAt   uint64
+
+	// The branch queue is walked only when a pending outcome falls due
+	// (brDueAt) or a shadow frontier has moved since the last walk
+	// (shadowMoves counts the moves, brSeen the count the last walk
+	// started from): until then every gate it found shut stays shut.
+	shadowMoves uint64
+	brSeen      uint64
+	brDueAt     uint64
 
 	// backing is committed architectural memory.
 	backing *memImage
@@ -176,12 +189,13 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 		c.regWaiters[p] = -1
 	}
 	// One allocation holds every wake set: the ready set, then the load
-	// queue's awake set, shadow-parked set and timing wheel.
+	// queue's awake set, shadow- and MSHR-parked sets and timing wheel.
 	iqw, lqw := bitsetWords(cfg.ROBSize), bitsetWords(cfg.LQSize)
-	words := make(bitset, iqw+(2+lqWheelSlots)*lqw)
+	words := make(bitset, iqw+(3+lqWheelSlots)*lqw)
 	c.iqReady, words = words[:iqw:iqw], words[iqw:]
 	c.lqAwake, words = words[:lqw:lqw], words[lqw:]
-	c.lqSpec, c.lqTimers = words[:lqw:lqw], words[lqw:]
+	c.lqSpec, words = words[:lqw:lqw], words[lqw:]
+	c.lqMSHR, c.lqTimers = words[:lqw:lqw], words[lqw:]
 	c.inflightExec = make([]*uop, 0, cfg.ROBSize)
 	c.pendingResolve = make([]*uop, 0, cfg.ROBSize)
 	c.fetchBuf = make([]fetched, 0, 2*cfg.DecodeWidth)
@@ -284,6 +298,7 @@ func (c *Core) Halted() bool { return c.halted }
 // a deadlocked pipeline or a runaway program.
 func (c *Core) Run(maxInsts, maxCycles uint64) error {
 	defer c.flushObs()
+	defer c.SettleStalls()
 	for !c.halted {
 		if maxInsts > 0 && c.Stats.Committed >= maxInsts {
 			return nil
@@ -423,6 +438,12 @@ func (c *Core) squashAfter(survivorSeq, newPC, newHist uint64) {
 			if got := c.lq.tailIdx(); got != u.lqIdx {
 				panic(fmt.Sprintf("pipeline: LQ squash mismatch: tail %d, uop %d", got, u.lqIdx))
 			}
+			if e := &c.lqEntries[u.lqIdx]; e.stall != stallNone {
+				// Squashed before its turn this cycle: its stall last
+				// ticked the cycle before.
+				c.settleStall(e, c.cycle-1)
+				c.lqMSHR.clear(u.lqIdx)
+			}
 			c.lqEntries[u.lqIdx] = lqEntry{}
 			c.lq.popTail()
 			c.inflight[u.pc]--
@@ -439,6 +460,14 @@ func (c *Core) squashAfter(survivorSeq, newPC, newHist uint64) {
 	}
 	c.shadows.SquashAfter(survivorSeq)
 	c.ctrlShadows.SquashAfter(survivorSeq)
+	if c.undoOn || c.sset != nil {
+		// A rollback frees MSHRs and reinstates L1 lines, and a
+		// memory-order violation reassigns store sets: every MSHR-stalled
+		// survivor takes another look.
+		for i, w := range c.lqMSHR {
+			c.lqAwake[i] |= w
+		}
+	}
 	if c.undoOn {
 		// Undo scheme: erase the squashed instructions' hierarchy footprint
 		// (fills, recency, counters, MSHRs) and drop their buffered

@@ -7,6 +7,7 @@ import (
 	"doppelganger/internal/isa"
 	"doppelganger/internal/program"
 	"doppelganger/internal/secure"
+	"doppelganger/internal/workload"
 )
 
 // fuzzRNG is a deterministic generator for reproducible random programs.
@@ -158,36 +159,119 @@ func TestFuzzAgainstInterpreter(t *testing.T) {
 // registry scheme. SelfCheck runs the invariant checker every cycle,
 // Cleanup's journal clause included.
 func TestFuzzSmallWindows(t *testing.T) {
-	cfgSmall := DefaultConfig()
-	cfgSmall.ROBSize = 16
-	cfgSmall.IQSize = 8
-	cfgSmall.LQSize = 4
-	cfgSmall.SQSize = 3
-	cfgSmall.LoadPorts = 1
-	cfgSmall.DecodeWidth = 2
-	cfgSmall.IssueWidth = 2
-	cfgSmall.CommitWidth = 2
-	cfgSmall.SelfCheck = true
+	fuzzSmallMachine(t, smallMachine())
+}
+
+// TestFuzzSmallWindowsFullMSHRs is TestFuzzSmallWindows on a machine whose
+// 8-line L1 has two MSHRs, so loads spend much of the run turned away by a
+// full MSHR file and parked on it: SelfCheck then validates every park
+// (still rejected, squashed, woken by a fill) and the stall accounting
+// behind it, and Cleanup's journal-depth bound under long stalls. The
+// window is twice TestFuzzSmallWindows' so that STT's taint stalls, which
+// need a dependent load behind an unresolved branch, park too.
+func TestFuzzSmallWindowsFullMSHRs(t *testing.T) {
+	cfg := smallMachine()
+	cfg.ROBSize = 32
+	cfg.IQSize = 12
+	cfg.LQSize = 8
+	cfg.SQSize = 4
+	cfg.Memory.L1D.SizeBytes = 512
+	cfg.Memory.L1D.Ways = 2
+	cfg.Memory.L1MSHRs = 2
+	parks := fuzzSmallMachine(t, cfg)
+	if parks[stallMSHR] == 0 || parks[stallTaint] == 0 {
+		t.Fatalf("parks by kind %v: the machine never parked a load on a full MSHR file or a taint root", parks)
+	}
+}
+
+// smallMachine is a tiny core (small ROB/IQ/LQ/SQ, one load port) with
+// the invariant checker on.
+func smallMachine() Config {
+	cfg := DefaultConfig()
+	cfg.ROBSize = 16
+	cfg.IQSize = 8
+	cfg.LQSize = 4
+	cfg.SQSize = 3
+	cfg.LoadPorts = 1
+	cfg.DecodeWidth = 2
+	cfg.IssueWidth = 2
+	cfg.CommitWidth = 2
+	cfg.SelfCheck = true
+	return cfg
+}
+
+// fuzzSmallMachine runs ten random programs on the machine under every
+// registry scheme ±AP against the interpreter, and counts the cycles the
+// end of which found a load parked on a stall, by kind.
+func fuzzSmallMachine(t *testing.T, machine Config) (parks [stallTaint + 1]int) {
+	t.Helper()
 	for seed := 1; seed <= 10; seed++ {
 		p := randomProgram(uint64(seed)*31337, 10+seed, 50)
 		ref := program.Run(p, 5_000_000)
 		refSum := ref.Checksum()
 		for _, scheme := range fuzzSchemes {
 			for _, ap := range []bool{false, true} {
-				cfg := cfgSmall
+				cfg := machine
 				cfg.Scheme = scheme
 				cfg.AddressPrediction = ap
 				c, err := New(cfg, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Run(0, 200_000_000); err != nil {
-					t.Fatalf("seed %d %v ap=%v: %v", seed, scheme, ap, err)
+				for !c.Halted() {
+					if c.Cycle() >= 200_000_000 {
+						t.Fatalf("seed %d %v ap=%v: did not halt", seed, scheme, ap)
+					}
+					c.Step()
+					for off := 0; off < c.lq.len(); off++ {
+						parks[c.lqEntries[c.lq.at(off)].stall]++
+					}
 				}
 				if c.ArchState().Checksum() != refSum {
 					t.Errorf("seed %d %v ap=%v: state mismatch on small machine", seed, scheme, ap)
 				}
 			}
+		}
+	}
+	return parks
+}
+
+// TestSelfCheckKernelsFullMSHRs runs the MSHR-bound kernels under every
+// registry scheme ±AP with the invariant checker on. Their strided streams
+// keep a four-entry MSHR file full while prefetches and committed stores
+// fill the very lines parked loads wait on, and Cleanup's rollbacks free
+// MSHRs under them: the wakes the random programs above rarely need.
+func TestSelfCheckKernelsFullMSHRs(t *testing.T) {
+	insts := uint64(2000)
+	if testing.Short() {
+		insts = 500
+	}
+	for _, name := range []string{"stream", "sparse_spmv", "scan_match"} {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no %s workload", name)
+		}
+		p := w.Build(workload.ScaleTest)
+		var rejected uint64
+		for _, scheme := range fuzzSchemes {
+			for _, ap := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.AddressPrediction = ap
+				cfg.Memory.L1MSHRs = 4
+				cfg.SelfCheck = true
+				c, err := New(cfg, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Run(insts, 10_000_000); err != nil {
+					t.Fatalf("%s %v ap=%v: %v", name, scheme, ap, err)
+				}
+				rejected += c.hier.RejectedMSHR
+			}
+		}
+		if rejected == 0 {
+			t.Errorf("%s: the MSHR file never filled", name)
 		}
 	}
 }

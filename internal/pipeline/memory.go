@@ -22,6 +22,9 @@ func (c *Core) storeQueuePass() {
 		if e.addrPending && c.cycle >= e.addrValidAt {
 			e.addrPending = false
 			e.addrValid = true
+			if !c.lqMSHR.empty() {
+				c.wakeForwarded(e)
+			}
 		}
 		if !e.dataValid && c.regReady[e.u.src[1]] {
 			e.data = c.regVal[e.u.src[1]]
@@ -144,13 +147,33 @@ func (c *Core) tryPendingStoreData(l *lqEntry) {
 // has work (see park); parked loads cost nothing.
 func (c *Core) loadQueuePass() {
 	c.releaseTimers()
+	if c.cfg.SelfCheck {
+		if err := c.checkLoadWake(c.cycle, nil); err != nil {
+			panic(fmt.Sprintf("pipeline: invariant violated at the start of cycle %d's load-queue pass: %v", c.cycle, err))
+		}
+	}
+	c.passAt = c.cycle
 	ports := c.cfg.LoadPorts
+	swept := c.lqMSHR.empty()
 	for off := c.lqAwake.nextIn(&c.lq, 0); off < c.lq.len(); off = c.lqAwake.nextIn(&c.lq, off+1) {
 		i := c.lq.at(off)
+		if !swept {
+			swept = c.sweepForParked(off)
+		}
+		if c.lqEntries[i].stall != stallNone {
+			c.unpark(i)
+		}
+		free := ports
 		if c.visitLoad(&c.lqEntries[i], &ports) {
 			return // squashed from this load; fetch is redirected
 		}
+		if free > 0 && ports == 0 && !c.lqMSHR.empty() {
+			c.portsExhausted(off)
+		}
 		c.park(i)
+	}
+	if !swept {
+		c.sweepForParked(c.lq.len())
 	}
 }
 
@@ -391,9 +414,9 @@ func (c *Core) issueRealLoad(e *lqEntry, ports *int) {
 		// so even "safe-looking" accesses must be reversible.
 		opts.UndoSeq = e.u.seq
 	}
-	res := c.hier.Access(c.cycle, e.addr, mem.ClassDemand, opts)
+	res := c.access(e.addr, mem.ClassDemand, opts)
 	if res.Rejected {
-		return // MSHR full, retry
+		return // MSHR full: parks until the file or the line changes
 	}
 	*ports--
 	if res.DelayedMiss {
@@ -439,9 +462,9 @@ func (c *Core) issueDoppelganger(e *lqEntry, ports *int) {
 	if c.undoOn {
 		opts.UndoSeq = e.u.seq
 	}
-	res := c.hier.Access(c.cycle, e.predAddr, mem.ClassDoppelganger, opts)
+	res := c.access(e.predAddr, mem.ClassDoppelganger, opts)
 	if res.Rejected {
-		return // MSHR full, retry
+		return // MSHR full: parks until the file or the line changes
 	}
 	*ports--
 	if c.obsOn {
@@ -491,7 +514,7 @@ func (c *Core) firePrefetches(seq, pc, addr uint64) {
 		if c.undoOn {
 			opts.UndoSeq = seq
 		}
-		res := c.hier.Access(c.cycle, t, mem.ClassPrefetch, opts)
+		res := c.access(t, mem.ClassPrefetch, opts)
 		if !res.Rejected {
 			if c.obsOn {
 				c.obsSpecAccessAt(seq, uint8(mem.ClassPrefetch), t)

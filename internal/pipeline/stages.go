@@ -221,6 +221,7 @@ func (c *Core) issue() {
 				u.actTarget = u.pc + 1
 			}
 			u.outcomeAt = c.cycle + c.cfg.ALULatency
+			c.brDueAt = min(c.brDueAt, u.outcomeAt)
 			if c.cfg.Scheme.TracksTaint() {
 				u.brTaintRoot = c.taints.Combine(u.src[0], u.src[1])
 			}
@@ -291,13 +292,32 @@ func (c *Core) writeback() {
 // event (shadow lift plus squash on mispredict); the schemes gate it:
 // STT delays resolution while the predicate is tainted, and DoM+AP
 // resolves branches in order (only when non-speculative).
+//
+// Branches resolve in pendingResolve (issue) order, which decides the
+// first squashing mispredict of a cycle. Both gates open only when a
+// shadow frontier moves, so a branch found blocked is not asked again
+// until one has, and the walk is skipped outright while no outcome falls
+// due and no frontier has moved since the last one began.
 func (c *Core) resolveBranches() {
+	if c.cycle < c.brDueAt && c.shadowMoves == c.brSeen {
+		return
+	}
+	c.brSeen = c.shadowMoves
+	c.brDueAt = ^uint64(0)
 	for _, u := range c.pendingResolve {
-		if u.resolved || c.cycle < u.outcomeAt {
+		if u.resolved {
+			continue
+		}
+		if c.cycle < u.outcomeAt {
+			c.brDueAt = min(c.brDueAt, u.outcomeAt)
 			continue
 		}
 		u.outcomeReady = true
+		if u.gateShut == c.shadowMoves+1 {
+			continue
+		}
 		if !c.canResolveBranch(u) {
+			u.gateShut = c.shadowMoves + 1
 			continue
 		}
 		u.resolved = true
@@ -322,7 +342,9 @@ func (c *Core) resolveBranches() {
 					Addr: u.actTarget, Aux: c.Stats.Squashed - preSquashed})
 			}
 			// The squash rebuilt pendingResolve in place; stop and let
-			// the filter below drop this (now resolved) branch.
+			// the filter below drop this (now resolved) branch. The
+			// survivors left unwalked are walked next cycle.
+			c.brDueAt = c.cycle + 1
 			break
 		}
 	}

@@ -52,6 +52,10 @@ type uop struct {
 	outcomeReady bool
 	resolved     bool   // shadow lifted, squash (if any) applied
 	brTaintRoot  uint64 // taint root of the predicate (STT)
+	// gateShut is 1 + the Core.shadowMoves count at which the branch's
+	// resolution gate was last found shut (0 = not found shut): until a
+	// shadow frontier moves again, it stays shut.
+	gateShut uint64
 
 	// Shadow bookkeeping.
 	castsShadow    bool
@@ -129,6 +133,19 @@ type lqEntry struct {
 	// Invalidation snoop hit (memory consistency, §4.5): the snooped line.
 	invalidated bool
 	invalLine   uint64
+
+	// A load parked until it (waitSpec), or its address's taint root
+	// (waitRoot), is no longer speculative.
+	waitSpec bool
+	waitRoot bool
+	// A load parked on a wait that ticks a stall counter (see wake.go):
+	// which counter, the line an MSHR stall waits to see filled, the last
+	// cycle the counter already covers, and cycles owed to it that
+	// stallSince has moved past.
+	stall      stallKind
+	stallLine  uint64
+	stallSince uint64
+	stallOwed  uint64
 }
 
 // matchAddr returns the address this entry would be snooped on: the real
@@ -233,6 +250,16 @@ func bitsetWords(n int) int { return (n + 63) / 64 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// empty reports whether the set has no members.
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // next returns the lowest member in [i, end), or end if there is none.
 func (b bitset) next(i, end int) int {

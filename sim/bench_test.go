@@ -156,3 +156,37 @@ func BenchmarkRunNDAP(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunSTTStall measures STT without doppelganger loads on stream:
+// loads whose addresses carry a speculative taint root wait at the issue
+// gate, parked until the shadow frontier passes the root, and
+// STTTaintStalls is credited for the interval. It gates the cost of a load
+// that is stalled rather than working.
+func BenchmarkRunSTTStall(b *testing.B) {
+	p := benchProgram(b)
+	cfg := sim.Config{Scheme: sim.STT}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGadgetSweep measures a small leakcheck sweep on one worker:
+// eight gadget seeds under unsafe, NDA-P, STT, DoM and Cleanup, each ±AP.
+// Gadget runs last a few thousand cycles, so it weighs core set-up and
+// observation against MSHR-full retries, taint stalls and DoM+AP's
+// in-order branch queue, the waiters a sweep spends its cycles on.
+func BenchmarkGadgetSweep(b *testing.B) {
+	var cfgs []leakcheck.Config
+	for _, s := range []sim.Scheme{sim.Unsafe, sim.NDAP, sim.STT, sim.DoM, sim.Cleanup} {
+		cfgs = append(cfgs, leakcheck.Config{Scheme: s}, leakcheck.Config{Scheme: s, AP: true})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := leakcheck.Sweep(context.Background(), cfgs, 0, 8, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

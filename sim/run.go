@@ -113,9 +113,11 @@ func run(ctx context.Context, c *Core, p *Program, cfg Config, opts []RunOption)
 	}
 	err := runCore(ctx, c, cfg.MaxInsts, maxCycles)
 	// The chunked (cancellable) path steps the core directly, bypassing
-	// Core.Run's exit flush; deliver buffered trace events and batched
-	// metrics on every outcome so attached sinks and registries are
-	// complete even for failed runs.
+	// Core.Run's exit flush; credit parked loads' stall counters, and
+	// deliver buffered trace events and batched metrics, on every outcome
+	// so counters, attached sinks and registries are complete even for
+	// failed runs.
+	c.SettleStalls()
 	c.FlushTrace()
 	c.FlushMetrics()
 	if err != nil {
