@@ -214,7 +214,7 @@ func TestCycleLimitError(t *testing.T) {
 	defer e.Close()
 	_, err := e.Submit(context.Background(), Job{
 		Program: spinProgram(t),
-		Config:  sim.Config{MaxCycles: 10 * stepChunk},
+		Config:  sim.Config{MaxCycles: 10 << 16},
 	})
 	if err == nil || !strings.Contains(err.Error(), "cycle limit") {
 		t.Fatalf("error = %v, want cycle-limit error", err)

@@ -2,33 +2,30 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"doppelganger/sim"
 )
 
-// stepChunk is how many cycles a worker simulates between cancellation
-// checks. At the simulator's typical hundreds of kilocycles per millisecond
-// this bounds cancellation latency to well under a second without touching
-// the hot loop itself.
-const stepChunk = 1 << 16
-
-// worker drains the queue until the engine closes.
+// worker drains the queue until the engine closes. Each worker owns one
+// sim.Runner, so a job whose core configuration matches the worker's
+// previous job's resets that job's core instead of building a new one.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	var r sim.Runner
 	for {
 		select {
 		case <-e.quit:
 			return
 		case t := <-e.queue:
-			e.execute(t)
+			e.execute(&r, t)
 		}
 	}
 }
 
-// execute runs one task, settles it, and publishes the result.
-func (e *Engine) execute(t *task) {
+// execute runs one task on the worker's runner, settles it, and publishes
+// the result.
+func (e *Engine) execute(r *sim.Runner, t *task) {
 	if e.met != nil {
 		e.met.queueDepth.Dec()
 	}
@@ -41,7 +38,7 @@ func (e *Engine) execute(t *task) {
 		return
 	}
 	start := time.Now()
-	res, obsv, err := e.runJob(t.ctx, t.job)
+	res, obsv, err := e.runJob(t.ctx, r, t.job)
 	elapsed := time.Since(start)
 	e.ctr.simWallNS.Add(elapsed.Nanoseconds())
 	t.res, t.obs, t.err = res, obsv, err
@@ -56,7 +53,6 @@ func (e *Engine) execute(t *task) {
 		e.cache.Put(t.key, cached{res, obsv})
 		if e.met != nil {
 			e.met.jobs.Inc()
-			sim.RecordMetrics(e.met.reg, res)
 		}
 	}
 	if e.met != nil {
@@ -75,13 +71,14 @@ func (e *Engine) finish(t *task) {
 	close(t.done)
 }
 
-// runJob simulates a job to completion. The run is identical to sim.Run —
-// Core.Run enforces the instruction and cycle bounds with the same checks —
-// but proceeds in stepChunk-cycle slices so the worker can observe context
-// cancellation and the job timeout between slices. Jobs with a non-empty
-// Observe set additionally get a contract observation captured from the
-// finished core, exactly as sim.Observe would have.
-func (e *Engine) runJob(ctx context.Context, job Job) (sim.Result, sim.Observation, error) {
+// runJob simulates a job to completion on the runner: sim.RunContext, or
+// sim.RunFromCheckpoint for a warm start, under the job's timeout. With a
+// metrics registry the run observes its live histograms and hit/miss
+// counters and, once it succeeds, its counter totals into it; purely
+// observational, so the cached result stays interchangeable with an
+// unobserved run's. Jobs with a non-empty Observe set additionally get a
+// contract observation of those clauses.
+func (e *Engine) runJob(ctx context.Context, r *sim.Runner, job Job) (sim.Result, sim.Observation, error) {
 	timeout := job.Timeout
 	if timeout == 0 {
 		timeout = e.jobTimeout
@@ -91,53 +88,23 @@ func (e *Engine) runJob(ctx context.Context, job Job) (sim.Result, sim.Observati
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var core *sim.Core
+	var opts []sim.RunOption
+	if e.met != nil {
+		opts = append(opts, sim.WithMetrics(e.met.reg))
+	}
+	var obsv sim.Observation
+	if len(job.Observe) > 0 {
+		opts = append(opts, sim.Observe(&obsv, job.Observe...))
+	}
+	var res sim.Result
 	var err error
 	if job.Checkpoint != nil {
-		core, _, err = sim.NewCoreFromCheckpoint(job.Program, job.Config, job.Checkpoint)
+		res, err = r.RunFromCheckpoint(ctx, job.Program, job.Config, job.Checkpoint, opts...)
 	} else {
-		core, err = sim.NewCore(job.Program, job.Config)
+		res, err = r.RunContext(ctx, job.Program, job.Config, opts...)
 	}
 	if err != nil {
 		return sim.Result{}, sim.Observation{}, err
-	}
-	if e.met != nil {
-		// Live histograms (shadow lifetime, load latency, occupancy) and
-		// cache hit/miss counters; purely observational, so the cached
-		// result stays interchangeable with an unobserved run's.
-		core.SetMetrics(e.met.reg)
-	}
-	if len(job.Observe) > 0 && sim.ClausesNeedTraces(job.Observe) {
-		core.EnableObsTraces()
-	}
-	maxCycles := job.Config.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = sim.DefaultMaxCycles
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return sim.Result{}, sim.Observation{}, fmt.Errorf("engine: %q under %v at cycle %d: %w",
-				job.Program.Name, job.Config.Scheme, core.Cycle(), err)
-		}
-		target := core.Cycle() + stepChunk
-		if target > maxCycles {
-			target = maxCycles
-		}
-		err := core.Run(job.Config.MaxInsts, target)
-		if err == nil {
-			// Halted or hit the instruction bound.
-			break
-		}
-		if core.Cycle() >= maxCycles {
-			// The genuine cycle budget, not just this slice's target.
-			return sim.Result{}, sim.Observation{}, fmt.Errorf("engine: %q under %v: %w",
-				job.Program.Name, job.Config.Scheme, err)
-		}
-	}
-	res := sim.Summarize(job.Program, job.Config, core)
-	var obsv sim.Observation
-	if len(job.Observe) > 0 {
-		sim.CaptureObservation(&obsv, core, job.Program, job.Observe...)
 	}
 	return res, obsv, nil
 }

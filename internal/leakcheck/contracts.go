@@ -86,7 +86,7 @@ func (r ContractResult) Strongest() []sim.Clause {
 
 // ContractSweep evaluates the full contract lattice for every config over
 // seeds [firstSeed, firstSeed+seeds), running up to workers differential
-// pairs concurrently. For each config it reports, per clause, how many
+// pairs concurrently, each worker on one sim.Runner. For each config it reports, per clause, how many
 // seeds were distinguishable to that observer — the per-scheme contract
 // matrix. A non-nil error aborts the sweep.
 func ContractSweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers int) ([]ContractResult, error) {
@@ -124,12 +124,13 @@ func ContractSweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var r sim.Runner
 			for j := range jobs {
 				p := Generate(j.seed).Normalize()
-				oa, err := observationOf(cctx, p, cfgs[j.cfg], p.SecretA)
+				oa, err := observationOf(cctx, &r, p, cfgs[j.cfg], p.SecretA)
 				var ob sim.Observation
 				if err == nil {
-					ob, err = observationOf(cctx, p, cfgs[j.cfg], p.SecretB)
+					ob, err = observationOf(cctx, &r, p, cfgs[j.cfg], p.SecretB)
 				}
 				mu.Lock()
 				if err != nil {

@@ -118,12 +118,18 @@ func (l *Leak) LeakingClauses() []sim.Clause {
 // secret-filtered architectural state). The error path is infrastructure
 // failure (context cancellation, wedged simulation), never a leak.
 func Check(ctx context.Context, p Params, cfg Config) (*Leak, error) {
+	return check(ctx, new(sim.Runner), p, cfg)
+}
+
+// check is Check on the runner's core. The pair's two runs share one
+// configuration, so the second resets the first's core.
+func check(ctx context.Context, r *sim.Runner, p Params, cfg Config) (*Leak, error) {
 	p = p.Normalize()
-	oa, err := observationOf(ctx, p, cfg, p.SecretA)
+	oa, err := observationOf(ctx, r, p, cfg, p.SecretA)
 	if err != nil {
 		return nil, err
 	}
-	ob, err := observationOf(ctx, p, cfg, p.SecretB)
+	ob, err := observationOf(ctx, r, p, cfg, p.SecretB)
 	if err != nil {
 		return nil, err
 	}
@@ -153,20 +159,20 @@ func (c Config) SimConfig(p Params) sim.Config {
 // completion, observing the full contract lattice. With WarmupInsts set
 // the run goes through snapshot/restore midway instead of straight-line;
 // both secrets of a pair take the same path, so observations stay
-// comparable.
-func observationOf(ctx context.Context, p Params, cfg Config, secret uint8) (sim.Observation, error) {
+// comparable. Every run goes through r.
+func observationOf(ctx context.Context, r *sim.Runner, p Params, cfg Config, secret uint8) (sim.Observation, error) {
 	prog := p.Build(secret)
 	simCfg := cfg.SimConfig(p)
 	var o sim.Observation
 	var err error
 	if cfg.WarmupInsts > 0 {
 		var ck *sim.Checkpoint
-		ck, err = sim.Snapshot(prog, simCfg, cfg.WarmupInsts)
+		ck, err = r.Snapshot(prog, simCfg, cfg.WarmupInsts)
 		if err == nil {
-			_, err = sim.RunFromCheckpoint(ctx, prog, simCfg, ck, sim.Observe(&o))
+			_, err = r.RunFromCheckpoint(ctx, prog, simCfg, ck, sim.Observe(&o))
 		}
 	} else {
-		_, err = sim.RunContext(ctx, prog, simCfg, sim.Observe(&o))
+		_, err = r.RunContext(ctx, prog, simCfg, sim.Observe(&o))
 	}
 	if err != nil {
 		return sim.Observation{}, fmt.Errorf("leakcheck: %s secret=0x%02x: %w", p, secret, err)
@@ -210,9 +216,10 @@ func (r SweepResult) Verdict() string {
 }
 
 // Sweep checks seeds [firstSeed, firstSeed+seeds) under every config,
-// running up to workers gadget checks concurrently. Results are returned
-// in config order with leaks sorted by seed. A non-nil error aborts the
-// sweep (first infrastructure failure wins).
+// running up to workers gadget checks concurrently, each worker on one
+// sim.Runner for all its pairs. Results are returned in config order with
+// leaks sorted by seed. A non-nil error aborts the sweep (first
+// infrastructure failure wins).
 func Sweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers int) ([]SweepResult, error) {
 	if workers < 1 {
 		workers = 1
@@ -238,8 +245,9 @@ func Sweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var r sim.Runner
 			for j := range jobs {
-				leak, err := Check(cctx, Generate(j.seed), cfgs[j.cfg])
+				leak, err := check(cctx, &r, Generate(j.seed), cfgs[j.cfg])
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
@@ -310,9 +318,9 @@ func GauntletParams(seed int64, m secure.Mutation) Params {
 // MutationGauntlet plants each weakening of secure.Mutations into its
 // target scheme and hunts seeds [firstSeed, firstSeed+maxSeeds) for a
 // gadget that exposes it. Every mutation must be Detected, or the oracle
-// is blind to that protection. Mutations are hunted concurrently; seeds
-// within one mutation sequentially (so Seed is the smallest detecting
-// seed).
+// is blind to that protection. Mutations are hunted concurrently, each on
+// one sim.Runner; seeds within one mutation sequentially (so Seed is the
+// smallest detecting seed).
 func MutationGauntlet(ctx context.Context, firstSeed int64, maxSeeds int) ([]MutationOutcome, error) {
 	muts := secure.Mutations()
 	out := make([]MutationOutcome, len(muts))
@@ -325,9 +333,10 @@ func MutationGauntlet(ctx context.Context, firstSeed int64, maxSeeds int) ([]Mut
 		go func(i int, m secure.Mutation) {
 			defer wg.Done()
 			o := &out[i]
+			var r sim.Runner
 			for s := int64(0); s < int64(maxSeeds); s++ {
 				seed := firstSeed + s
-				leak, err := Check(ctx, GauntletParams(seed, m), o.Config)
+				leak, err := check(ctx, &r, GauntletParams(seed, m), o.Config)
 				o.SeedsTried++
 				if err != nil {
 					errs[i] = err

@@ -418,18 +418,19 @@ func TestConfigString(t *testing.T) {
 // TestCheckpointSweepSecureSchemes is the checkpoint subsystem's security
 // assertion: routing every gadget run through snapshot/restore midway
 // (warm under the target scheme, capture, fork, finish) must stay
-// 0-divergent for every intact secure scheme across 256 seeds — i.e. the
-// checkpoint path itself introduces no attacker-observable divergence. The
-// unsafe baseline is swept too, as the non-vacuousness control: the warm
-// oracle must still see its leaks.
+// 0-divergent for every intact secure scheme across 256 seeds (32 under
+// the race detector) — i.e. the checkpoint path itself introduces no
+// attacker-observable divergence. The unsafe baseline is swept too, as the
+// non-vacuousness control: the warm oracle must still see its leaks.
 func TestCheckpointSweepSecureSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-seed checkpoint sweep skipped in -short mode")
 	}
-	const (
-		seeds  = 256
-		warmup = 200 // lands mid-gadget: transient window straddles the restore
-	)
+	const warmup = 200 // lands mid-gadget: transient window straddles the restore
+	seeds := 256
+	if raceEnabled {
+		seeds = 32
+	}
 	cfgs := DefaultConfigs()
 	for i := range cfgs {
 		cfgs[i].WarmupInsts = warmup

@@ -1,6 +1,10 @@
 package leakcheck
 
-import "context"
+import (
+	"context"
+
+	"doppelganger/sim"
+)
 
 // Minimize greedily shrinks a leaking gadget's parameters while the leak
 // persists under the same config, returning the smallest reproducer found.
@@ -9,18 +13,20 @@ import "context"
 // chain is seed-prefix-stable (see chainOps), so reducing ChainLen keeps
 // the surviving operations identical. Passes repeat until a fixpoint.
 //
-// An infrastructure error (context cancellation) aborts minimization and
-// returns the best reproducer found so far alongside the error.
+// Every check runs on one sim.Runner. An infrastructure error (context
+// cancellation) aborts minimization and returns the best reproducer found
+// so far alongside the error.
 func Minimize(ctx context.Context, leak Leak) (Params, error) {
 	p := leak.Params.Normalize()
 	cfg := leak.Config
 
+	var r sim.Runner
 	var firstErr error
 	leaks := func(q Params) bool {
 		if firstErr != nil {
 			return false
 		}
-		l, err := Check(ctx, q, cfg)
+		l, err := check(ctx, &r, q, cfg)
 		if err != nil {
 			firstErr = err
 			return false

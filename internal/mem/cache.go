@@ -18,6 +18,9 @@
 // a short run (a leakage gadget) cost in proportion to what they touch, and
 // a run that fills a whole level allocates each way once. Unfilled sets read
 // as all-invalid everywhere, including the fingerprints and checkpoints.
+// Reset empties a cache for its next run and keeps the storage: the chunks
+// the last run filled are zeroed onto a free list that later fills take
+// from first, so a cache reused across short runs allocates nothing.
 package mem
 
 import "fmt"
@@ -93,14 +96,15 @@ const firstChunks = 16
 //
 // Storage grows with the sets a run fills. chunks maps each chunk of
 // consecutive sets to its ways, nil until the chunk is first filled (every
-// way invalid). A chunk's ways are carved from the newest segment of
-// storage and stay where they are for the cache's lifetime. Only insert
-// (and Restore) allocates a chunk.
+// way invalid). A chunk's ways come from the free list, or else are carved
+// from the newest segment of storage, and stay where they are until Reset
+// returns them to the free list. Only insert (and Restore) fills a chunk.
 type Cache struct {
 	cfg        CacheConfig
 	chunks     [][]line
-	spare      []line // the newest segment's lines not yet given to a chunk
-	filled     int    // chunks allocated
+	free       [][]line // zeroed chunks' ways, returned by Reset
+	spare      []line   // the newest segment's lines not yet given to a chunk
+	filled     int      // chunks carved from segments
 	ways       int
 	chunkShift uint   // log2 of the sets per chunk
 	chunkMask  uint64 // sets per chunk - 1
@@ -155,19 +159,47 @@ func (c *Cache) setWays(set uint64) []line {
 	return chunk[i : i+c.ways : i+c.ways]
 }
 
-// fillChunk allocates the set's chunk, every way invalid, and returns the
-// set's ways. A new segment is allocated when the newest is used up.
+// fillChunk gives the set's chunk its ways, every way invalid, and returns
+// the set's ways. A free chunk is taken first; a new segment is allocated
+// only when the free list and the newest segment are both used up. Every
+// chunk carved is in use or free, so a segment never outgrows the level.
 func (c *Cache) fillChunk(set uint64) []line {
-	chunkLines := int(c.chunkMask+1) * c.ways
-	if len(c.spare) == 0 {
-		n := min(len(c.chunks)-c.filled, max(firstChunks, 3*c.filled))
-		c.spare = make([]line, n*chunkLines)
+	var ways []line
+	if n := len(c.free); n > 0 {
+		ways, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		chunkLines := int(c.chunkMask+1) * c.ways
+		if len(c.spare) == 0 {
+			n := min(len(c.chunks)-c.filled, max(firstChunks, 3*c.filled))
+			c.spare = make([]line, n*chunkLines)
+		}
+		ways, c.spare = c.spare[:chunkLines:chunkLines], c.spare[chunkLines:]
+		c.filled++
 	}
-	c.chunks[set>>c.chunkShift] = c.spare[:chunkLines:chunkLines]
-	c.spare = c.spare[chunkLines:]
-	c.filled++
+	c.chunks[set>>c.chunkShift] = ways
 	return c.setWays(set)
 }
+
+// Reset returns the cache to the state NewCache builds: every set
+// unfilled, the recency clock and victim-choice stream at their start, and
+// the statistics zero. The filled chunks' ways are zeroed and kept on the
+// free list for the next run's fills.
+func (c *Cache) Reset() {
+	for k, chunk := range c.chunks {
+		if chunk != nil {
+			clear(chunk)
+			c.free = append(c.free, chunk)
+			c.chunks[k] = nil
+		}
+	}
+	c.clock = 0
+	c.rng = rngSeed
+	c.ResetStats()
+}
+
+// Outgrown reports whether the cache's storage grew past its first
+// segment: more than a short run (a leakage gadget) fills.
+func (c *Cache) Outgrown() bool { return c.filled > firstChunks }
 
 // way returns the line at journaled coordinates. Its chunk is allocated:
 // records are only made for ways a lookup found or insert filled.

@@ -247,6 +247,34 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
+// Outgrown reports whether any level's storage grew past its first
+// segment (Cache.Outgrown).
+func (h *Hierarchy) Outgrown() bool {
+	return h.L1D.Outgrown() || h.L2.Outgrown() || h.L3.Outgrown()
+}
+
+// Reset returns the hierarchy's state to the one NewHierarchy builds,
+// keeping its storage: every cache is Reset, the MSHR file and the
+// rollback journal (if attached, with its options) are emptied with their
+// capacity kept, and every counter and the MSHR timeline digest are
+// zeroed. An attached metrics registry stays attached.
+func (h *Hierarchy) Reset() {
+	h.L1D.Reset()
+	h.L2.Reset()
+	h.L3.Reset()
+	h.mshrs = h.mshrs[:0]
+	h.demand = 0
+	h.nextExpire = ^uint64(0)
+	h.DRAMAccesses = 0
+	h.DRAMWrites = 0
+	h.Writebacks = [3]uint64{}
+	h.RejectedMSHR = 0
+	h.mshrSig = 0
+	if h.undo != nil {
+		h.undo.reset()
+	}
+}
+
 // expire releases MSHRs whose fills have completed by cycle now. The sweep
 // only runs once the earliest outstanding fill is actually due, so the
 // common hit-stream case costs a single comparison.

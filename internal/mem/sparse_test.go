@@ -209,3 +209,34 @@ func TestStorageTracksFootprint(t *testing.T) {
 		t.Error("a way moved when storage grew")
 	}
 }
+
+// TestResetKeepsStorage: Reset leaves every set unfilled and the cache
+// reading as a fresh one's, keeps the chunks it filled, zeroed, and
+// refills from them without allocating; Outgrown tells a cache still in
+// its first segment from one that grew past it.
+func TestResetKeepsStorage(t *testing.T) {
+	sets := uint64(bigCacheConfig.Sets())
+	fill := func(c *Cache, chunks uint64) {
+		for k := uint64(0); k < chunks; k++ {
+			c.Insert(chunkAddr(sets, k, 0, 1), 1)
+		}
+	}
+	fresh := NewCache(bigCacheConfig).State()
+	c := NewCache(bigCacheConfig)
+	for _, chunks := range []uint64{3, firstChunks + 1} {
+		fill(c, chunks)
+		if got, want := c.Outgrown(), chunks > firstChunks; got != want {
+			t.Fatalf("%d chunks filled: Outgrown %v, want %v", chunks, got, want)
+		}
+		c.Reset()
+		if !reflect.DeepEqual(c.State(), fresh) {
+			t.Fatalf("%d chunks filled: a reset cache's State differs from a fresh cache's", chunks)
+		}
+		if len(c.free) != int(chunks) {
+			t.Fatalf("%d chunks filled: %d free after Reset", chunks, len(c.free))
+		}
+		if allocs := testing.AllocsPerRun(1, func() { fill(c, chunks); c.Reset() }); allocs != 0 {
+			t.Fatalf("%d chunks filled: refilling from the free list allocated %v times", chunks, allocs)
+		}
+	}
+}

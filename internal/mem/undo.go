@@ -183,6 +183,13 @@ func (j *undoJournal) add(r undoRec) {
 	j.recs = append(j.recs, r)
 }
 
+// reset drops every record and tally, keeping the slices' capacity.
+func (j *undoJournal) reset() {
+	j.recs = j.recs[:0]
+	j.head = 0
+	j.rejects = j.rejects[:0]
+}
+
 // pending reports the number of live (unretired) records and tallies.
 func (j *undoJournal) pending() int { return len(j.recs) - j.head + len(j.rejects) }
 

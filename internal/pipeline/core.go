@@ -20,14 +20,18 @@ type fetched struct {
 	hist       uint64 // speculative global history at fetch (gshare)
 }
 
-// Core is the out-of-order processor. Create one per program run with New;
-// a Core is single-use (Run once) and not safe for concurrent use.
+// Core is the out-of-order processor. New builds one for a program; Reset
+// puts a used core, whatever state its last run left, back into exactly
+// the state New builds for another program under the same configuration,
+// keeping its storage, so one core can serve many short runs in turn. A
+// Core is not safe for concurrent use.
 type Core struct {
 	cfg  Config
 	prog *program.Program
 
 	hier   *mem.Hierarchy
 	bp     predictor.BranchPredictor
+	bim    *predictor.Bimodal // the configured direction predictor (Reset restores it as bp)
 	bpBim  *predictor.Bimodal // non-nil when bp is the bimodal (devirtualized)
 	bpG    *predictor.GShare  // non-nil when BranchGShare is selected
 	stride *predictor.Stride
@@ -160,33 +164,61 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	c := newCore(cfg)
+	c.reset(prog)
+	return c, nil
+}
+
+// Reset puts the core into exactly the state New(c.Config(), prog)
+// builds: whatever the last run left (a halt, a cycle limit, an abandoned
+// squash) is cleared, the trace sink, metrics, observation traces and
+// cycle window are detached, and a branch predictor SetBranchPredictor
+// installed is replaced by the configured one. Storage is kept: caches,
+// memory image, queues and tables are cleared in place. The program is
+// validated first; on error the core is unchanged.
+func (c *Core) Reset(prog *program.Program) error {
+	if err := prog.Validate(); err != nil {
+		return err
+	}
+	c.reset(prog)
+	return nil
+}
+
+// Config returns the core's configuration.
+func (c *Core) Config() Config { return c.cfg }
+
+// Outgrown reports whether the core's storage grew past what a short run
+// (a leakage gadget) fills: a cache past its first segment, or committed
+// memory past one slab of pages. sim.Runner keeps only cores that did not,
+// so an idle core holds at most a short run's footprint.
+func (c *Core) Outgrown() bool {
+	return c.hier.Outgrown() || len(c.backing.pages)+len(c.backing.free) > slabPages
+}
+
+// newCore allocates every structure of a core for the configuration; reset
+// then gives it its initial state. Every structure the cycle loop appends
+// to is pre-sized, so steady-state simulation never grows a slice: queue
+// contents are bounded by the structure sizes (anything in flight occupies
+// a ROB slot).
+func newCore(cfg Config) *Core {
 	nPhys := isa.NumRegs + cfg.ROBSize
 	c := &Core{
-		cfg:         cfg,
-		prog:        prog,
-		hier:        mem.NewHierarchy(cfg.Memory),
-		bp:          predictor.NewBimodal(cfg.Branch),
-		stride:      predictor.NewStride(cfg.Stride),
-		regVal:      make([]int64, nPhys),
-		regReady:    make([]bool, nPhys),
-		robEntries:  make([]uop, cfg.ROBSize),
-		rob:         newRing(cfg.ROBSize),
-		lqEntries:   make([]lqEntry, cfg.LQSize),
-		lq:          newRing(cfg.LQSize),
-		sqEntries:   make([]sqEntry, cfg.SQSize),
-		sq:          newRing(cfg.SQSize),
-		backing:     newMemImage(),
-		fetchPC:     prog.Entry,
-		inflight:    make([]int32, len(prog.Code)),
-		committedPC: make([]uint64, len(prog.Code)),
-	}
-	c.bpBim, _ = c.bp.(*predictor.Bimodal)
-	// Pre-size every structure the cycle loop appends to, so steady-state
-	// simulation never grows a slice: queue contents are bounded by the
-	// structure sizes (anything in flight occupies a ROB slot).
-	c.regWaiters = make([]int32, nPhys)
-	for p := range c.regWaiters {
-		c.regWaiters[p] = -1
+		cfg:            cfg,
+		hier:           mem.NewHierarchy(cfg.Memory),
+		bim:            predictor.NewBimodal(cfg.Branch),
+		stride:         predictor.NewStride(cfg.Stride),
+		regVal:         make([]int64, nPhys),
+		regReady:       make([]bool, nPhys),
+		regWaiters:     make([]int32, nPhys),
+		freeList:       make([]int, 0, cfg.ROBSize),
+		robEntries:     make([]uop, cfg.ROBSize),
+		lqEntries:      make([]lqEntry, cfg.LQSize),
+		sqEntries:      make([]sqEntry, cfg.SQSize),
+		backing:        newMemImage(),
+		inflightExec:   make([]*uop, 0, cfg.ROBSize),
+		pendingResolve: make([]*uop, 0, cfg.ROBSize),
+		fetchBuf:       make([]fetched, 0, 2*cfg.DecodeWidth),
+		prefetchBuf:    make([]uint64, 0, cfg.PrefetchDegree),
 	}
 	// One allocation holds every wake set: the ready set, then the load
 	// queue's awake set, shadow- and MSHR-parked sets and timing wheel.
@@ -196,10 +228,6 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 	c.lqAwake, words = words[:lqw:lqw], words[lqw:]
 	c.lqSpec, words = words[:lqw:lqw], words[lqw:]
 	c.lqMSHR, c.lqTimers = words[:lqw:lqw], words[lqw:]
-	c.inflightExec = make([]*uop, 0, cfg.ROBSize)
-	c.pendingResolve = make([]*uop, 0, cfg.ROBSize)
-	c.fetchBuf = make([]fetched, 0, 2*cfg.DecodeWidth)
-	c.prefetchBuf = make([]uint64, 0, cfg.PrefetchDegree)
 	c.shadows.Reserve(cfg.ROBSize)
 	c.ctrlShadows.Reserve(cfg.ROBSize)
 	if cfg.Scheme.ControlOnlyTaint() {
@@ -231,19 +259,99 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 		})
 		c.specLog = make([]specAcc, 0, cfg.ROBSize)
 	}
+	return c
+}
+
+// reset gives the core the initial state for prog, whatever state it was
+// in: New's initialiser for a fresh core and Reset's for a used one, so
+// the two cannot drift apart. It clears only what a run can have changed,
+// and of that only what the next run could tell apart. ROB, load- and
+// store-queue entries are not cleared: emptying the rings is enough,
+// because dispatch writes every entry it takes whole. A rename register's
+// value and readiness are dead until dispatch allocates it, which marks it
+// not ready. The load queue's awake, shadow-parked and timer sets keep
+// their members: a member only earns its slot an early visit, which is
+// always safe, and a squash leaves such members behind too. The branch
+// queue's walk bookkeeping (shadowMoves, brSeen, brDueAt) is kept for the
+// same reason: a stale value only earns an extra walk, since brDueAt is
+// lowered to every issued branch's outcome cycle. The prefetch buffer is
+// scratch that every use truncates first.
+func (c *Core) reset(prog *program.Program) {
+	c.prog = prog
+	c.hier.Reset()
+	c.bim.Reset()
+	c.bp, c.bpBim = c.bim, c.bim
+	c.stride.Reset()
+	if c.bpG != nil {
+		c.bpG.Reset()
+	}
+	if c.ctx != nil {
+		c.ctx.Reset()
+	}
+	if c.vp != nil {
+		c.vp.Reset()
+	}
+	if c.sset != nil {
+		c.sset.Reset()
+	}
+	c.shadows.Reset()
+	c.ctrlShadows.Reset()
+	c.taints.Reset()
+
+	c.cycle, c.seqCtr, c.halted = 0, 0, false
 	for r := 0; r < isa.NumRegs; r++ {
 		c.renameMap[r] = r
 		c.regVal[r] = prog.InitRegs[r]
 		c.regReady[r] = true
 	}
-	c.freeList = make([]int, 0, cfg.ROBSize)
-	for p := nPhys - 1; p >= isa.NumRegs; p-- {
+	c.freeList = c.freeList[:0]
+	for p := len(c.regVal) - 1; p >= isa.NumRegs; p-- {
 		c.freeList = append(c.freeList, p)
 	}
+	for p := range c.regWaiters {
+		c.regWaiters[p] = -1
+	}
+
+	c.rob = newRing(c.cfg.ROBSize)
+	c.lq = newRing(c.cfg.LQSize)
+	c.sq = newRing(c.cfg.SQSize)
+	c.iqLen = 0
+	clear(c.iqReady)
+	clear(c.lqMSHR)
+	c.passAt = 0
+	c.inflightExec = c.inflightExec[:0]
+	c.pendingResolve = c.pendingResolve[:0]
+
+	c.backing.reset()
 	for a, v := range prog.InitMem {
 		c.backing.store(program.AlignAddr(a), v)
 	}
-	return c, nil
+	c.fetchPC = prog.Entry
+	c.fetchBuf = c.fetchBuf[:0]
+	c.haltFetched = false
+	c.fetchStalled = false
+	c.fetchHist = 0
+	c.inflight = zeroed(c.inflight, len(prog.Code))
+	c.committedPC = zeroed(c.committedPC, len(prog.Code))
+
+	c.SetTraceSink(nil)
+	c.ClearCycleWindow()
+	c.SetMetrics(nil)
+	c.obsOn = false
+	c.obsAddrSeq, c.obsCtrlSeq, c.obsAddrSpec, c.obsCtrlSpec = 0, 0, 0, 0
+	c.specLog = c.specLog[:0]
+	c.Stats = Stats{}
+}
+
+// zeroed returns s resized to n elements, all zero, reusing its storage
+// when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Hierarchy exposes the memory system (for statistics and tests).

@@ -31,10 +31,9 @@ type memImage struct {
 	lastPage *memPage
 	// slab is an arena new pages are carved from, so building the image
 	// costs one allocation per slabPages pages instead of one per page.
+	// free holds zeroed pages reset returned, taken before the slab.
 	slab []memPage
-	// count is the number of present (ever-stored) words, used to size the
-	// reconstructed map.
-	count int
+	free []*memPage
 }
 
 // slabPages is the arena granularity (64 KiB per slab).
@@ -42,6 +41,33 @@ const slabPages = 16
 
 func newMemImage() *memImage {
 	return &memImage{pages: make(map[uint64]*memPage, 64)}
+}
+
+// reset empties the image, keeping its storage: every page is zeroed onto
+// the free list.
+func (m *memImage) reset() {
+	for _, p := range m.pages {
+		*p = memPage{}
+		m.free = append(m.free, p)
+	}
+	clear(m.pages)
+	m.lastKey, m.lastPage = 0, nil
+}
+
+// newPage maps a zeroed page at the key, from the free list or the slab.
+func (m *memImage) newPage(key uint64) *memPage {
+	var p *memPage
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		if len(m.slab) == 0 {
+			m.slab = make([]memPage, slabPages)
+		}
+		p, m.slab = &m.slab[0], m.slab[1:]
+	}
+	m.pages[key] = p
+	m.lastKey, m.lastPage = key, p
+	return p
 }
 
 // page returns the page for the key, or nil when absent.
@@ -71,26 +97,17 @@ func (m *memImage) store(addr uint64, v int64) {
 	key := addr >> pageShift
 	p := m.page(key)
 	if p == nil {
-		if len(m.slab) == 0 {
-			m.slab = make([]memPage, slabPages)
-		}
-		p = &m.slab[0]
-		m.slab = m.slab[1:]
-		m.pages[key] = p
-		m.lastKey, m.lastPage = key, p
+		p = m.newPage(key)
 	}
 	wi := (addr >> wordShift) & (pageWords - 1)
-	if w := &p.present[wi>>6]; *w&(1<<(wi&63)) == 0 {
-		*w |= 1 << (wi & 63)
-		m.count++
-	}
+	p.present[wi>>6] |= 1 << (wi & 63)
 	p.words[wi] = v
 }
 
 // toMap reconstructs the memory image as an address→value map with exactly
 // the key set the map representation would have had (stored zeros included).
 func (m *memImage) toMap() map[uint64]int64 {
-	out := make(map[uint64]int64, m.count)
+	out := make(map[uint64]int64)
 	for key, p := range m.pages {
 		base := key << pageShift
 		for wi := uint64(0); wi < pageWords; wi++ {

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math/bits"
 
 	"doppelganger/internal/isa"
 	"doppelganger/internal/mem"
@@ -196,23 +195,12 @@ func (m *memImage) state() []MemPageState {
 
 // restoreState rebuilds the memory image from captured pages.
 func (m *memImage) restoreState(pages []MemPageState) {
-	m.pages = make(map[uint64]*memPage, len(pages))
-	m.lastKey, m.lastPage = 0, nil
-	m.slab = nil
-	m.count = 0
+	m.reset()
 	for i := range pages {
 		ps := &pages[i]
-		if len(m.slab) == 0 {
-			m.slab = make([]memPage, slabPages)
-		}
-		p := &m.slab[0]
-		m.slab = m.slab[1:]
+		p := m.newPage(ps.Key)
 		p.words = ps.Words
 		p.present = ps.Present
-		m.pages[ps.Key] = p
-		for _, w := range ps.Present {
-			m.count += bits.OnesCount64(w)
-		}
 	}
 }
 
@@ -229,47 +217,67 @@ func NewFromState(cfg Config, prog *program.Program, st *CoreState) (*Core, erro
 	if err != nil {
 		return nil, err
 	}
-	if len(st.CommittedPC) != len(prog.Code) {
-		return nil, fmt.Errorf("pipeline: checkpoint covers a %d-instruction program, this program has %d",
-			len(st.CommittedPC), len(prog.Code))
+	if err := c.restore(st); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// ResetFromState is Reset followed by NewFromState's restore: it puts the
+// core into exactly the state NewFromState(c.Config(), prog, st) builds,
+// keeping its storage. On error the core is left partly restored; Reset it
+// before its next run.
+func (c *Core) ResetFromState(prog *program.Program, st *CoreState) error {
+	if err := c.Reset(prog); err != nil {
+		return err
+	}
+	return c.restore(st)
+}
+
+// restore overwrites a just-reset core's long-lived state with a captured
+// snapshot.
+func (c *Core) restore(st *CoreState) error {
+	if len(st.CommittedPC) != len(c.prog.Code) {
+		return fmt.Errorf("pipeline: checkpoint covers a %d-instruction program, this program has %d",
+			len(st.CommittedPC), len(c.prog.Code))
 	}
 	if st.Hier == nil {
-		return nil, fmt.Errorf("pipeline: checkpoint has no memory hierarchy section")
+		return fmt.Errorf("pipeline: checkpoint has no memory hierarchy section")
 	}
 	if err := c.hier.Restore(st.Hier); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
+		return fmt.Errorf("pipeline: %w", err)
 	}
 	if st.Stride != nil {
 		if err := c.stride.Restore(st.Stride); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
 		}
 	}
 	if c.ctx != nil && st.Context != nil {
 		if err := c.ctx.Restore(st.Context); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
 		}
 	}
 	if c.bpBim != nil && st.Bimodal != nil {
 		if err := c.bpBim.Restore(st.Bimodal); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
 		}
 	}
 	if c.bpG != nil && st.GShare != nil {
 		if err := c.bpG.Restore(st.GShare); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
 		}
 	}
 	if c.vp != nil && st.Value != nil {
 		if err := c.vp.Restore(st.Value); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
 		}
 	}
 	if c.sset != nil && st.StoreSets != nil {
 		if err := c.sset.Restore(st.StoreSets); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
 		}
 	}
-	// New() set up the identity rename mapping, so writing architectural
+	// reset set up the identity rename mapping, so writing architectural
 	// values through it is exact. Physical register numbering differs from
 	// the capturing core's, which is unobservable: at quiescence only the
 	// architecturally mapped registers carry state, and nothing keys off
@@ -292,5 +300,5 @@ func NewFromState(cfg Config, prog *program.Program, st *CoreState) (*Core, erro
 	c.fetchPC = st.FetchPC
 	c.fetchHist = st.FetchHist
 	c.Stats = st.Stats
-	return c, nil
+	return nil
 }

@@ -7,8 +7,8 @@ import "doppelganger/internal/obs"
 // branch on c.tracing — the nil fast path benchmarked by
 // BenchmarkSimulatorThroughput.
 
-// SetTraceSink attaches a trace sink; pass nil to detach. Must be called
-// before Run (the core is single-use and not safe for concurrent use).
+// SetTraceSink attaches a trace sink; pass nil to detach. Call it before
+// Run; Reset detaches it. The core is not safe for concurrent use.
 // Sinks implementing obs.BatchSink receive events in buffered batches;
 // buffered events are delivered at every Run exit (see FlushTrace).
 func (c *Core) SetTraceSink(s obs.TraceSink) {

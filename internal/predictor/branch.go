@@ -38,11 +38,17 @@ func NewBimodal(cfg BimodalConfig) *Bimodal {
 		panic(fmt.Sprintf("predictor: bimodal entries %d not a power of two", cfg.Entries))
 	}
 	b := &Bimodal{counters: make([]uint8, cfg.Entries), mask: uint64(cfg.Entries - 1)}
+	b.Reset()
+	return b
+}
+
+// Reset returns the predictor to the state NewBimodal builds.
+func (b *Bimodal) Reset() {
 	// Initialise to weakly taken: loop branches warm up faster.
 	for i := range b.counters {
 		b.counters[i] = 2
 	}
-	return b
+	b.Predictions = 0
 }
 
 // Predict returns true if the branch at pc is predicted taken.

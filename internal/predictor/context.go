@@ -86,6 +86,16 @@ func NewContext(cfg ContextConfig) *Context {
 // Config returns the predictor configuration.
 func (c *Context) Config() ContextConfig { return c.cfg }
 
+// Reset returns the predictor to the state NewContext builds.
+func (c *Context) Reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.clock = 0
+	clear(c.last)
+	c.Trainings = 0
+}
+
 // key mixes (pc, from) into a well-distributed 64-bit tag (splitmix64
 // finalizer). Line-aligned addresses have empty low bits, so a weak mix
 // would concentrate entries into a handful of sets.

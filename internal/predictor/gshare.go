@@ -42,10 +42,15 @@ func NewGShare(cfg GShareConfig) *GShare {
 		mask:     uint64(cfg.Entries - 1),
 		histMask: (1 << uint(cfg.HistoryBits)) - 1,
 	}
+	g.Reset()
+	return g
+}
+
+// Reset returns the predictor to the state NewGShare builds.
+func (g *GShare) Reset() {
 	for i := range g.counters {
 		g.counters[i] = 2 // weakly taken
 	}
-	return g
 }
 
 func (g *GShare) index(pc, hist uint64) uint64 {

@@ -60,6 +60,13 @@ func NewStoreSets(cfg StoreSetsConfig) *StoreSets {
 // Config returns the predictor configuration.
 func (s *StoreSets) Config() StoreSetsConfig { return s.cfg }
 
+// Reset returns the predictor to the state NewStoreSets builds.
+func (s *StoreSets) Reset() {
+	clear(s.table)
+	s.nextSet = 0
+	s.Assignments = 0
+}
+
 func (s *StoreSets) slot(pc uint64) *ssEntry {
 	e := &s.table[pc&s.mask]
 	if e.valid && e.pc == pc {

@@ -83,6 +83,16 @@ func NewStride(cfg StrideConfig) *Stride {
 // Config returns the table configuration.
 func (s *Stride) Config() StrideConfig { return s.cfg }
 
+// Reset returns the table to the state NewStride builds.
+func (s *Stride) Reset() {
+	for _, set := range s.sets {
+		clear(set)
+	}
+	s.clock = 0
+	s.Trainings = 0
+	s.Allocations = 0
+}
+
 func (s *Stride) find(pc uint64) *strideEntry {
 	set := s.sets[pc&s.setMask]
 	for i := range set {

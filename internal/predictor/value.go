@@ -71,6 +71,15 @@ func NewValue(cfg ValueConfig) *Value {
 // Config returns the predictor configuration.
 func (v *Value) Config() ValueConfig { return v.cfg }
 
+// Reset returns the predictor to the state NewValue builds.
+func (v *Value) Reset() {
+	for _, set := range v.sets {
+		clear(set)
+	}
+	v.clock = 0
+	v.Trainings = 0
+}
+
 func (v *Value) find(pc uint64) *valueEntry {
 	set := v.sets[pc&v.setMask]
 	for i := range set {

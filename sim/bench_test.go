@@ -108,16 +108,54 @@ func BenchmarkRunFromCheckpoint(b *testing.B) {
 }
 
 // BenchmarkObserveGadgetPair measures one leakcheck differential pair under
-// Cleanup with doppelganger loads: two fresh cores, a gadget run of a few
-// thousand cycles each, and two full observations. Core set-up and
-// observation capture dominate it, so its B/op gates cache storage that
-// scales with capacity instead of with the sets a run fills.
+// Cleanup with doppelganger loads: a gadget run of a few thousand cycles
+// on a fresh core, the second run on that core reset, and two full
+// observations. Core set-up and observation capture dominate it, so its
+// B/op gates cache storage that scales with capacity instead of with the
+// sets a run fills, and a pair that builds its core twice.
 func BenchmarkObserveGadgetPair(b *testing.B) {
 	p := leakcheck.Generate(1)
 	cfg := leakcheck.Config{Scheme: sim.Cleanup, AP: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := leakcheck.Check(context.Background(), p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// gadgetRun is one run of a leakcheck gadget under Cleanup with
+// doppelganger loads, the short-run shape core reuse serves.
+func gadgetRun() (*sim.Program, sim.Config) {
+	p := leakcheck.Generate(1).Normalize()
+	return p.Build(p.SecretA), leakcheck.Config{Scheme: sim.Cleanup, AP: true}.SimConfig(p)
+}
+
+// BenchmarkNewCoreGadget measures a gadget run on a fresh core each time,
+// BenchmarkCoreReset's comparator: the gap between the two is what
+// building a core costs a short run.
+func BenchmarkNewCoreGadget(b *testing.B) {
+	p, cfg := gadgetRun()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoreReset measures the same gadget run on one sim.Runner's
+// core, reset before each run instead of rebuilt.
+func BenchmarkCoreReset(b *testing.B) {
+	p, cfg := gadgetRun()
+	var r sim.Runner
+	if _, err := r.RunContext(context.Background(), p, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.RunContext(context.Background(), p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,10 +53,16 @@ func resolvedCoreConfig(cfg Config) CoreConfig {
 // predictors) reflect warmup under the snapshot configuration, which is
 // the standard warm-start trade-off.
 func Snapshot(p *Program, cfg Config, warmupInsts uint64) (*Checkpoint, error) {
+	return new(Runner).Snapshot(p, cfg, warmupInsts)
+}
+
+// Snapshot is the package-level Snapshot on the Runner's core.
+func (r *Runner) Snapshot(p *Program, cfg Config, warmupInsts uint64) (*Checkpoint, error) {
 	if warmupInsts == 0 {
 		return nil, fmt.Errorf("sim: snapshot requires a positive warmup instruction count")
 	}
-	c, err := NewCore(p, cfg)
+	defer r.release()
+	c, err := r.coreFor(p, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,19 +100,30 @@ func Snapshot(p *Program, cfg Config, warmupInsts uint64) (*Checkpoint, error) {
 // match the captured state. Passing a nil program uses the checkpoint's
 // embedded one; a non-nil program must be code-compatible.
 func NewCoreFromCheckpoint(p *Program, cfg Config, ck *Checkpoint) (*Core, *Program, error) {
-	if ck == nil {
-		return nil, nil, fmt.Errorf("sim: nil checkpoint")
-	}
-	if p == nil {
-		p = ck.Program()
-	} else if err := ck.CompatibleWith(p); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
+	p, err := checkpointProgram(p, ck)
+	if err != nil {
+		return nil, nil, err
 	}
 	c, err := pipeline.NewFromState(resolvedCoreConfig(cfg), p, ck.State())
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, p, nil
+}
+
+// checkpointProgram returns the program a run from the checkpoint
+// simulates: p, once checked code-compatible, or the embedded one for nil.
+func checkpointProgram(p *Program, ck *Checkpoint) (*Program, error) {
+	if ck == nil {
+		return nil, fmt.Errorf("sim: nil checkpoint")
+	}
+	if p == nil {
+		return ck.Program(), nil
+	}
+	if err := ck.CompatibleWith(p); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	return p, nil
 }
 
 // RunFromCheckpoint restores the checkpoint under the configuration and
@@ -119,7 +136,19 @@ func NewCoreFromCheckpoint(p *Program, cfg Config, ck *Checkpoint) (*Core, *Prog
 //
 // Passing a nil program runs the checkpoint's embedded program.
 func RunFromCheckpoint(ctx context.Context, p *Program, cfg Config, ck *Checkpoint, opts ...RunOption) (Result, error) {
-	c, p, err := NewCoreFromCheckpoint(p, cfg, ck)
+	return new(Runner).RunFromCheckpoint(ctx, p, cfg, ck, opts...)
+}
+
+// RunFromCheckpoint is the package-level RunFromCheckpoint on the Runner's
+// core: a kept core of the same configuration is reset and restored
+// (Core.ResetFromState) instead of a new one being built.
+func (r *Runner) RunFromCheckpoint(ctx context.Context, p *Program, cfg Config, ck *Checkpoint, opts ...RunOption) (Result, error) {
+	p, err := checkpointProgram(p, ck)
+	if err != nil {
+		return Result{}, err
+	}
+	defer r.release()
+	c, err := r.coreFor(p, cfg, ck.State())
 	if err != nil {
 		return Result{}, err
 	}

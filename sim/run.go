@@ -68,13 +68,77 @@ const stepChunk = 1 << 16
 
 // RunContext simulates the program to completion under the configuration,
 // honouring context cancellation and any run options. It is the primary
-// entry point; Run is a convenience wrapper over it.
+// entry point; Run is a convenience wrapper over it. It runs on a fresh
+// Runner; a caller with many short runs to make keeps a Runner instead.
 //
 // With a non-cancellable context (context.Background()) and no options the
 // run takes the same uninterrupted path as Run — the observability hooks
 // cost one predictable branch each when nothing is attached.
 func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (Result, error) {
-	c, err := NewCore(p, cfg)
+	return new(Runner).RunContext(ctx, p, cfg, opts...)
+}
+
+// Runner makes runs on one core that it keeps between them: a run whose
+// resolved core configuration equals the kept core's resets that core
+// (Core.Reset) instead of building a new one, so a caller making many
+// short runs (a leakage sweep, a campaign worker) stops paying for a fresh
+// core's allocation and zeroing on each. A run under another configuration
+// builds a fresh core, which the Runner then keeps instead. A core whose
+// run outgrew a short run's storage is not kept (Core.Outgrown), so an
+// idle Runner holds at most about a megabyte. Results are identical to the
+// package-level functions', which run on a fresh Runner.
+//
+// The zero value is ready to use. A Runner is not safe for concurrent use:
+// give each goroutine its own. The kept core never leaves the Runner.
+type Runner struct {
+	core *Core
+}
+
+// coreFor returns the Runner's core in the state a fresh core for p under
+// cfg starts in, with st restored when it is non-nil: the kept core, reset,
+// when its configuration is cfg's, and otherwise a fresh core that the
+// Runner keeps from then on.
+func (r *Runner) coreFor(p *Program, cfg Config, st *pipeline.CoreState) (*Core, error) {
+	cc := resolvedCoreConfig(cfg)
+	if r.core != nil && r.core.Config() == cc {
+		var err error
+		if st == nil {
+			err = r.core.Reset(p)
+		} else {
+			err = r.core.ResetFromState(p, st)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return r.core, nil
+	}
+	var c *Core
+	var err error
+	if st == nil {
+		c, err = pipeline.New(cc, p)
+	} else {
+		c, err = pipeline.NewFromState(cc, p, st)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.core = c
+	return c, nil
+}
+
+// release drops the Runner's core when its last run outgrew a short run's
+// storage (Core.Outgrown): a long run pays for its storage as it would on
+// a fresh core, and an idle Runner holds at most a short run's footprint.
+func (r *Runner) release() {
+	if r.core != nil && r.core.Outgrown() {
+		r.core = nil
+	}
+}
+
+// RunContext is the package-level RunContext on the Runner's core.
+func (r *Runner) RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (Result, error) {
+	defer r.release()
+	c, err := r.coreFor(p, cfg, nil)
 	if err != nil {
 		return Result{}, err
 	}

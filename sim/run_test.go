@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +154,94 @@ func TestWithMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, family) {
 			t.Errorf("Prometheus output missing %s", family)
+		}
+	}
+}
+
+// TestRunnerMatchesPackageFunctions: one Runner making a mixed sequence of
+// runs — configurations that alternate, a run cut off by its cycle budget,
+// a run that fills whole cache levels, a cancelled run, a snapshot and
+// restores — returns exactly what the
+// package-level functions, each on a fresh core, return for every run.
+func TestRunnerMatchesPackageFunctions(t *testing.T) {
+	quick := sim.MustAssemble("quick", quickSource)
+	w, ok := sim.WorkloadByName("hash_irregular")
+	if !ok {
+		t.Fatal("no hash_irregular workload")
+	}
+	kernel := w.Build(sim.ScaleTest)
+	sw, ok := sim.WorkloadByName("stream")
+	if !ok {
+		t.Fatal("no stream workload")
+	}
+	stream := sw.Build(sim.ScaleTest)
+	dom := sim.Config{Scheme: sim.DoM, AddressPrediction: true}
+	cleanup := sim.Config{Scheme: sim.Cleanup}
+	ck, err := sim.Snapshot(kernel, dom, 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	type outcome struct {
+		Res sim.Result
+		Obs sim.Observation
+		Err string
+	}
+	steps := []struct {
+		name string
+		run  func(r *sim.Runner, o *sim.Observation) (sim.Result, error)
+	}{
+		{"quick/dom", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), quick, dom, sim.Observe(o))
+		}},
+		{"kernel/dom cut off", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), kernel, dom, sim.WithMaxCycles(3_000))
+		}},
+		{"kernel/dom", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), kernel, dom, sim.Observe(o))
+		}},
+		{"stream/dom, outgrowing a short run's storage", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), stream, dom, sim.Observe(o))
+		}},
+		{"kernel/cleanup cancelled", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(cancelled, kernel, cleanup)
+		}},
+		{"quick/cleanup", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), quick, cleanup, sim.Observe(o))
+		}},
+		{"kernel/cleanup from checkpoint", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunFromCheckpoint(context.Background(), kernel, cleanup, ck, sim.Observe(o))
+		}},
+		{"kernel/dom from checkpoint", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunFromCheckpoint(context.Background(), nil, dom, ck, sim.Observe(o))
+		}},
+		{"kernel/dom snapshot", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			got, err := r.Snapshot(kernel, dom, 2_000)
+			if err == nil && got.Digest() != ck.Digest() {
+				t.Errorf("Runner.Snapshot digest %s, package-level %s", got.Digest(), ck.Digest())
+			}
+			return sim.Result{}, err
+		}},
+		{"quick/dom again", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), quick, dom, sim.Observe(o))
+		}},
+	}
+	var kept sim.Runner
+	for _, s := range steps {
+		var want, got outcome
+		res, err := s.run(new(sim.Runner), &want.Obs)
+		want.Res = res
+		if err != nil {
+			want.Err = err.Error()
+		}
+		res, err = s.run(&kept, &got.Obs)
+		got.Res = res
+		if err != nil {
+			got.Err = err.Error()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: kept Runner gave %+v\nfresh Runner gave %+v", s.name, got, want)
 		}
 	}
 }

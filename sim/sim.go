@@ -172,18 +172,10 @@ type Result struct {
 	Memory MemoryStats
 }
 
-// NewCore builds a core for the program under the given configuration
-// without running it.
+// NewCore builds a fresh core for the program under the given
+// configuration without running it.
 func NewCore(p *Program, cfg Config) (*Core, error) {
-	cc := cfg.Core
-	if cc == nil {
-		d := pipeline.DefaultConfig()
-		cc = &d
-	}
-	core := *cc
-	core.Scheme = cfg.Scheme
-	core.AddressPrediction = cfg.AddressPrediction
-	return pipeline.New(core, p)
+	return pipeline.New(resolvedCoreConfig(cfg), p)
 }
 
 // Run simulates the program to completion under the configuration and
