@@ -5,16 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
 	"doppelganger/internal/leakcheck"
+	"doppelganger/internal/recfile"
 )
 
 // CorpusVersion is the on-disk corpus format version. OpenCorpus rejects
@@ -24,15 +20,32 @@ import (
 // coverage encoding).
 const CorpusVersion = 1
 
-var corpusMagic = [4]byte{'D', 'G', 'C', 'F'}
-
-// ErrCorrupt reports a complete corpus record whose checksum did not
-// verify (or a malformed header). Test with errors.Is.
-var ErrCorrupt = errors.New("campaign: corrupt corpus record")
-
 // maxRecordLen bounds one record so a corrupt length field cannot make
 // OpenCorpus attempt a huge allocation.
 const maxRecordLen = 4 << 20
+
+// corpusFormat is the DGCF layout, after internal/recfile's magic | version
+// header (integers little-endian):
+//
+//	record:  uint8 type | uint32 len | payload | uint32 crc32(type‖payload)
+//
+// Payloads are the JSON of an InputRecord or a LeakRecord.
+var corpusFormat = recfile.Format{
+	Magic: "DGCF", Version: CorpusVersion, Name: "corpus",
+	Head: 5, CRCHead: 1, MaxBody: maxRecordLen,
+	BodyLen: func(head []byte) (uint64, bool) {
+		n := binary.LittleEndian.Uint32(head[1:])
+		return uint64(n), n != 0
+	},
+}
+
+var (
+	// ErrCorrupt reports a complete corpus record that does not verify (or
+	// a malformed header). Test with errors.Is.
+	ErrCorrupt = recfile.ErrCorrupt
+	// ErrVersion reports a corpus written by another format version.
+	ErrVersion = recfile.ErrVersion
+)
 
 // Record types.
 const (
@@ -87,7 +100,7 @@ func LeakKey(p leakcheck.Params, cfg leakcheck.Config) string {
 // it had fully evaluated. Safe for concurrent use.
 type Corpus struct {
 	mu     sync.Mutex
-	f      *os.File // nil for an in-memory corpus
+	log    *recfile.Log // nil for an in-memory corpus
 	Inputs []InputRecord
 	Leaks  []LeakRecord
 
@@ -110,21 +123,30 @@ func NewCorpus() *Corpus {
 // record — a crash mid-append — is truncated away; any other corruption
 // fails with ErrCorrupt.
 func OpenCorpus(path string) (*Corpus, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
+	c := NewCorpus()
+	log, err := corpusFormat.Open(path, func(off int64, head, payload []byte) error {
+		switch head[0] {
+		case recInput:
+			var in InputRecord
+			if err := json.Unmarshal(payload, &in); err != nil {
+				return fmt.Errorf("%w: undecodable input record at offset %d: %v", ErrCorrupt, off, err)
+			}
+			c.replayInput(in)
+		case recLeak:
+			var lk LeakRecord
+			if err := json.Unmarshal(payload, &lk); err != nil {
+				return fmt.Errorf("%w: undecodable leak record at offset %d: %v", ErrCorrupt, off, err)
+			}
+			c.replayLeak(lk)
+		default:
+			return fmt.Errorf("%w: unknown record type %d at offset %d", ErrCorrupt, head[0], off)
 		}
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	c := NewCorpus()
-	c.f = f
-	if err := c.load(path); err != nil {
-		f.Close()
-		return nil, err
-	}
+	c.log = log
 	return c, nil
 }
 
@@ -132,138 +154,49 @@ func OpenCorpus(path string) (*Corpus, error) {
 func (c *Corpus) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Close()
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
 }
 
-func (c *Corpus) load(path string) error {
-	info, err := c.f.Stat()
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if info.Size() == 0 {
-		var hdr [8]byte
-		copy(hdr[:4], corpusMagic[:])
-		binary.LittleEndian.PutUint32(hdr[4:], CorpusVersion)
-		if _, err := c.f.WriteAt(hdr[:], 0); err != nil {
-			return fmt.Errorf("campaign: %w", err)
-		}
-		return nil
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(io.NewSectionReader(c.f, 0, 8), hdr[:]); err != nil {
-		return fmt.Errorf("%w: short header in %s", ErrCorrupt, path)
-	}
-	if [4]byte(hdr[:4]) != corpusMagic {
-		return fmt.Errorf("%w: bad magic in %s", ErrCorrupt, path)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != CorpusVersion {
-		return fmt.Errorf("campaign: %s is corpus format version %d, this build reads version %d",
-			path, v, CorpusVersion)
-	}
-
-	off := int64(8)
-	size := info.Size()
-	for off < size {
-		var rec [5]byte
-		if _, err := io.ReadFull(io.NewSectionReader(c.f, off, 5), rec[:]); err != nil {
-			return c.truncate(off) // torn header at the tail
-		}
-		typ := rec[0]
-		n := binary.LittleEndian.Uint32(rec[1:])
-		if n == 0 || n > maxRecordLen {
-			return fmt.Errorf("%w: implausible record length %d at offset %d in %s",
-				ErrCorrupt, n, off, path)
-		}
-		body := make([]byte, int(n)+4)
-		if _, err := io.ReadFull(io.NewSectionReader(c.f, off+5, int64(len(body))), body); err != nil {
-			return c.truncate(off) // torn body at the tail
-		}
-		payload := body[:n]
-		want := binary.LittleEndian.Uint32(body[n:])
-		if got := crcRecord(typ, payload); got != want {
-			return fmt.Errorf("%w: checksum mismatch at offset %d in %s (crc %08x, want %08x)",
-				ErrCorrupt, off, path, got, want)
-		}
-		switch typ {
-		case recInput:
-			var in InputRecord
-			if err := json.Unmarshal(payload, &in); err != nil {
-				return fmt.Errorf("%w: undecodable input record at offset %d in %s: %v",
-					ErrCorrupt, off, path, err)
-			}
-			c.replayInput(in)
-		case recLeak:
-			var lk LeakRecord
-			if err := json.Unmarshal(payload, &lk); err != nil {
-				return fmt.Errorf("%w: undecodable leak record at offset %d in %s: %v",
-					ErrCorrupt, off, path, err)
-			}
-			c.replayLeak(lk)
-		default:
-			return fmt.Errorf("%w: unknown record type %d at offset %d in %s",
-				ErrCorrupt, typ, off, path)
-		}
-		off += 5 + int64(len(body))
-	}
-	return nil
-}
-
-func (c *Corpus) truncate(off int64) error {
-	if err := c.f.Truncate(off); err != nil {
-		return fmt.Errorf("campaign: truncating torn corpus tail: %w", err)
-	}
-	return nil
-}
-
-func crcRecord(typ byte, payload []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	return crc.Sum32()
-}
-
-func (c *Corpus) replayInput(in InputRecord) {
+// replayInput admits an input that is on disk (or needs none), reporting
+// whether it was new.
+func (c *Corpus) replayInput(in InputRecord) bool {
 	key := in.Params.String()
 	if c.inputSeen[key] {
-		return
+		return false
 	}
 	c.inputSeen[key] = true
 	c.Inputs = append(c.Inputs, in)
+	return true
 }
 
-func (c *Corpus) replayLeak(lk LeakRecord) {
+// replayLeak admits a leak that is on disk (or needs none), reporting
+// whether it was new.
+func (c *Corpus) replayLeak(lk LeakRecord) bool {
 	if c.leakKeys[lk.Key] {
-		return
+		return false
 	}
 	c.leakKeys[lk.Key] = true
 	c.leakSigs[lk.Sig] = true
 	c.Leaks = append(c.Leaks, lk)
+	return true
 }
 
 // append writes one record through to disk (no-op for in-memory corpora).
 func (c *Corpus) append(typ byte, v any) error {
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("campaign: encoding corpus record: %w", err)
 	}
-	buf := make([]byte, 5+len(payload)+4)
-	buf[0] = typ
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	copy(buf[5:], payload)
-	binary.LittleEndian.PutUint32(buf[5+len(payload):], crcRecord(typ, payload))
-	if _, err := c.f.Seek(0, io.SeekEnd); err != nil {
+	if _, err := c.log.Append(binary.LittleEndian.AppendUint32([]byte{typ}, uint32(len(payload))), payload); err != nil {
 		return fmt.Errorf("campaign: %w", err)
-	}
-	if _, err := c.f.Write(buf); err != nil {
-		return fmt.Errorf("campaign: appending corpus record: %w", err)
 	}
 	return nil
 }
@@ -273,16 +206,13 @@ func (c *Corpus) append(typ byte, v any) error {
 func (c *Corpus) AddInput(in InputRecord) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := in.Params.String()
-	if c.inputSeen[key] {
+	if c.inputSeen[in.Params.String()] {
 		return false, nil
 	}
 	if err := c.append(recInput, in); err != nil {
 		return false, err
 	}
-	c.inputSeen[key] = true
-	c.Inputs = append(c.Inputs, in)
-	return true, nil
+	return c.replayInput(in), nil
 }
 
 // HasLeakSig reports whether a leak with this behavioural signature is
@@ -305,8 +235,5 @@ func (c *Corpus) AddLeak(lk LeakRecord) (bool, error) {
 	if err := c.append(recLeak, lk); err != nil {
 		return false, err
 	}
-	c.leakKeys[lk.Key] = true
-	c.leakSigs[lk.Sig] = true
-	c.Leaks = append(c.Leaks, lk)
-	return true, nil
+	return c.replayLeak(lk), nil
 }

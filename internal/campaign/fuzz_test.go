@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -19,8 +18,8 @@ func openAlloc(n int) uint64 { return 2*maxRecordLen + 16*uint64(n) }
 
 // FuzzOpenCorpus feeds arbitrary bytes to OpenCorpus as a corpus file.
 // OpenCorpus must stay within openAlloc; a refusal must be ErrCorrupt
-// or a version refusal; an accepted file must reopen to the same inputs
-// and leaks.
+// or ErrVersion; an accepted file must reopen to the same inputs and
+// leaks.
 //
 //	go test -fuzz=FuzzOpenCorpus -fuzztime=2m -run '^$' ./internal/campaign
 func FuzzOpenCorpus(f *testing.F) {
@@ -66,10 +65,8 @@ func FuzzOpenCorpus(f *testing.F) {
 			t.Fatalf("OpenCorpus of a %d-byte file allocated %d bytes", len(data), grew)
 		}
 		if err != nil {
-			versionRefusal := len(data) >= 8 && [4]byte(data[:4]) == corpusMagic &&
-				binary.LittleEndian.Uint32(data[4:8]) != CorpusVersion
-			if !errors.Is(err, ErrCorrupt) && !versionRefusal {
-				t.Fatalf("refusal is neither ErrCorrupt nor a version refusal: %v", err)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("refusal is neither ErrCorrupt nor ErrVersion: %v", err)
 			}
 			return
 		}

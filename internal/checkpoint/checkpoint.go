@@ -7,10 +7,11 @@
 // worker, or forked into every scheme × address-prediction variant of the
 // evaluation matrix without replaying warmup.
 //
-// The on-disk format (see file.go) follows internal/cluster/store's
-// discipline: a magic number, an explicit format version that is checked
-// before anything else, and a CRC per section so corruption is refused
-// with a clear error instead of deserialized into a subtly wrong core.
+// The on-disk format (see file.go) is framed by internal/recfile, the code
+// the result store and the campaign corpus share: a magic number, an
+// explicit format version that is checked before anything else, and a CRC
+// per section so corruption is refused with a clear error instead of
+// deserialized into a subtly wrong core.
 package checkpoint
 
 import (
@@ -18,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"doppelganger/internal/isa"
 	"doppelganger/internal/pipeline"
@@ -52,19 +54,22 @@ type Meta struct {
 }
 
 // Checkpoint is an immutable captured simulation state. Build one with New
-// (from a live capture) or Decode/ReadFile (from an encoding); the
-// canonical encoding and its digest are computed once at construction, so
-// Digest is safe to call concurrently (the engine hashes it into cache
-// keys from many workers).
+// (from a live capture) or Decode/ReadFile (from an encoding). The
+// canonical encoding and its digest are computed once, on the first
+// Encode, Digest or Equal call, so a checkpoint that is only restored
+// never pays for them; all three are safe to call concurrently (the
+// engine hashes the digest into cache keys from many workers).
 type Checkpoint struct {
-	meta   Meta
-	state  *pipeline.CoreState
-	enc    []byte
+	meta  Meta
+	state *pipeline.CoreState
+
+	once   sync.Once
+	enc    []byte // set by Decode, or by the first encoded call
 	digest string
 }
 
-// New builds a checkpoint from a captured core state, computing the
-// canonical encoding and digest eagerly.
+// New builds a checkpoint from a captured core state, which it keeps and
+// the caller must no longer modify.
 func New(meta Meta, st *pipeline.CoreState) (*Checkpoint, error) {
 	if st == nil {
 		return nil, fmt.Errorf("checkpoint: nil core state")
@@ -72,14 +77,19 @@ func New(meta Meta, st *pipeline.CoreState) (*Checkpoint, error) {
 	if len(meta.Code) == 0 {
 		return nil, fmt.Errorf("checkpoint: meta embeds no program code")
 	}
-	c := &Checkpoint{meta: meta, state: st}
-	enc, err := encode(c)
-	if err != nil {
-		return nil, err
-	}
-	c.enc = enc
-	c.digest = digestOf(enc)
-	return c, nil
+	return &Checkpoint{meta: meta, state: st}, nil
+}
+
+// encoded returns the canonical encoding, building it and the digest on
+// the first call.
+func (c *Checkpoint) encoded() []byte {
+	c.once.Do(func() {
+		if c.enc == nil {
+			c.enc = encode(c)
+		}
+		c.digest = digestOf(c.enc)
+	})
+	return c.enc
 }
 
 // digestOf computes the SHA-256 hex digest of an encoding.
@@ -98,11 +108,14 @@ func (c *Checkpoint) State() *pipeline.CoreState { return c.state }
 // Digest returns the SHA-256 hex digest of the canonical encoding. It is
 // the checkpoint's identity: engine cache keys, cluster references, and
 // the -checkpoint-in cross-check all use it.
-func (c *Checkpoint) Digest() string { return c.digest }
+func (c *Checkpoint) Digest() string {
+	c.encoded()
+	return c.digest
+}
 
 // Encode returns the canonical encoding. The slice is shared and must not
 // be modified.
-func (c *Checkpoint) Encode() []byte { return c.enc }
+func (c *Checkpoint) Encode() []byte { return c.encoded() }
 
 // Program reconstructs the embedded program image. Initial registers and
 // memory are zero: the captured state supersedes them, and a restored run
@@ -143,5 +156,5 @@ func (c *Checkpoint) CompatibleWith(p *program.Program) error {
 // Equal reports whether two checkpoints have identical canonical
 // encodings (and therefore identical digests).
 func (c *Checkpoint) Equal(o *Checkpoint) bool {
-	return c != nil && o != nil && bytes.Equal(c.enc, o.enc)
+	return c != nil && o != nil && bytes.Equal(c.encoded(), o.encoded())
 }

@@ -1,10 +1,14 @@
 package checkpoint
 
 import (
+	"encoding"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"doppelganger/internal/isa"
@@ -228,10 +232,7 @@ func TestDecodeRejections(t *testing.T) {
 		// Hand-craft a file holding only the meta section.
 		ck := goldenCheckpoint(t)
 		only := &Checkpoint{meta: ck.meta, state: ck.state}
-		full, err := encode(only)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := encode(only)
 		// Re-encode with the section count dropped to 1 and the core
 		// section's bytes removed: the meta section ends where the core
 		// section's name length begins.
@@ -262,4 +263,68 @@ func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := New(m, goldenState()); err == nil {
 		t.Error("empty code accepted")
 	}
+}
+
+// TestEncodingCannotFail walks every type the encoding marshals and
+// refuses any that json.Marshal could fail on: a float (it may be NaN), a
+// channel, a func, an interface or map (either may hold one), or a custom
+// marshaler (it may return an error). The encoding is built lazily inside
+// Digest and Encode, which have no error to return it through.
+func TestEncodingCannotFail(t *testing.T) {
+	marshaler := reflect.TypeOf((*json.Marshaler)(nil)).Elem()
+	textMarshaler := reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem()
+	seen := make(map[reflect.Type]bool)
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		for _, m := range []reflect.Type{marshaler, textMarshaler} {
+			if ty.Implements(m) || reflect.PointerTo(ty).Implements(m) {
+				t.Errorf("%s (%v) has a custom marshaler", path, ty)
+			}
+		}
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if f := ty.Field(i); f.IsExported() {
+					walk(f.Type, path+"."+f.Name)
+				}
+			}
+		case reflect.Bool, reflect.String,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		default:
+			t.Errorf("%s is a %v, which json.Marshal can fail on", path, ty)
+		}
+	}
+	walk(reflect.TypeOf(Meta{}), "Meta")
+	walk(reflect.TypeOf(pipeline.CoreState{}), "CoreState")
+}
+
+// TestDigestConcurrent: the first Encode, Digest and Equal calls race to
+// build the encoding; every caller must see the one result.
+func TestDigestConcurrent(t *testing.T) {
+	want := goldenCheckpoint(t).Digest()
+	ck, other := goldenCheckpoint(t), goldenCheckpoint(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := ck.Digest(); got != want {
+				t.Errorf("Digest = %s, want %s", got, want)
+			}
+			if got := digestOf(ck.Encode()); got != want {
+				t.Errorf("digest of Encode = %s, want %s", got, want)
+			}
+			if !ck.Equal(other) {
+				t.Error("identical checkpoints not Equal")
+			}
+		}()
+	}
+	wg.Wait()
 }

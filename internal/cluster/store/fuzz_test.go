@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -15,9 +14,8 @@ import (
 func openAlloc(n int) uint64 { return 2*maxRecordLen + 16*uint64(n) }
 
 // FuzzStoreOpen feeds arbitrary bytes to Open as a store file. Open must
-// stay within openAlloc; a refusal must be ErrCorrupt or a version
-// refusal; an accepted file must serve every indexed key and reopen to the
-// same keys.
+// stay within openAlloc; a refusal must be ErrCorrupt or ErrVersion; an
+// accepted file must serve every indexed key and reopen to the same keys.
 //
 //	go test -fuzz=FuzzStoreOpen -fuzztime=2m -run '^$' ./internal/cluster/store
 func FuzzStoreOpen(f *testing.F) {
@@ -45,6 +43,7 @@ func FuzzStoreOpen(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
 	f.Add(overflowingLengths())
+	f.Add(undecodableValue())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.dgrs")
@@ -59,10 +58,8 @@ func FuzzStoreOpen(f *testing.F) {
 			t.Fatalf("Open of a %d-byte file allocated %d bytes", len(data), grew)
 		}
 		if err != nil {
-			versionRefusal := len(data) >= 8 && [4]byte(data[:4]) == magic &&
-				binary.LittleEndian.Uint32(data[4:8]) != Version
-			if !errors.Is(err, ErrCorrupt) && !versionRefusal {
-				t.Fatalf("refusal is neither ErrCorrupt nor a version refusal: %v", err)
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("refusal is neither ErrCorrupt nor ErrVersion: %v", err)
 			}
 			return
 		}
