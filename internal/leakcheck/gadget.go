@@ -368,8 +368,8 @@ type chainOp struct {
 // chainOps derives the chain from the seed. The stream depends only on
 // Seed, so a shorter ChainLen is a strict prefix — minimization can shrink
 // the chain without changing the surviving steps.
-func (p Params) chainOps() []chainOp {
-	r := rand.New(rand.NewSource(p.Seed ^ 0x5bf0_3635))
+func (p Params) chainOps(r *rand.Rand) []chainOp {
+	r.Seed(p.Seed ^ 0x5bf0_3635)
 	ops := make([]chainOp, 0, p.ChainLen)
 	for i := 0; i < p.ChainLen; i++ {
 		if r.Intn(2) == 0 {
@@ -391,9 +391,10 @@ func (p Params) chainOps() []chainOp {
 //
 // Guard line d of round i holds boundVal[d]; the returned per-round base
 // addresses are what the table holds.
-func (p Params) initGuardTable(b *program.Builder, boundVal func(d int) int64) {
+func (p Params) initGuardTable(b *program.Builder, r *rand.Rand, boundVal func(d int) int64) {
 	perRound := uint64(p.ShadowDepth+1) * lineSize
-	order := rand.New(rand.NewSource(p.Seed ^ 0x7f4a_7c15)).Perm(p.Rounds)
+	r.Seed(p.Seed ^ 0x7f4a_7c15)
+	order := r.Perm(p.Rounds)
 	for i := 0; i < p.Rounds; i++ {
 		base := guardBase + uint64(order[i])*perRound
 		b.InitMem(ptabBase+uint64(i)*program.WordSize, int64(base))
@@ -409,15 +410,18 @@ func (p Params) initGuardTable(b *program.Builder, boundVal func(d int) int64) {
 // identical by construction.
 func (p Params) Build(secret uint8) *program.Program {
 	p = p.Normalize()
+	// One generator per build, reseeded in place at each use: a source is
+	// about 4.9 KB, and Seed restarts exactly the stream NewSource would.
+	r := rand.New(rand.NewSource(p.Seed))
 	switch p.Kind {
 	case KindStoreBypass:
-		return p.buildStoreBypass(secret)
+		return p.buildStoreBypass(secret, r)
 	case KindBranchPoison:
-		return p.buildBranchPoison(secret)
+		return p.buildBranchPoison(secret, r)
 	case KindContention:
-		return p.buildContention(secret)
+		return p.buildContention(secret, r)
 	default:
-		return p.buildBoundsCheck(secret)
+		return p.buildBoundsCheck(secret, r)
 	}
 }
 
@@ -479,8 +483,8 @@ func (p Params) emitTrainLoops(b *program.Builder) {
 // emitTransmit lowers the chain and the probe access(es): rX holds the
 // value to transmit; after the chain it indexes the probe array at line
 // granularity. On the committed path rX is always public.
-func (p Params) emitTransmit(b *program.Builder) {
-	for _, op := range p.chainOps() {
+func (p Params) emitTransmit(b *program.Builder, r *rand.Rand) {
+	for _, op := range p.chainOps(r) {
 		if op.mul {
 			b.MulI(rX, rX, op.k)
 		} else {
@@ -510,21 +514,21 @@ func (p Params) emitTransmit(b *program.Builder) {
 // secret word past the array's end. Each round's bound loads from a fresh
 // cold guard line, holding the bounds checks unresolved while the wrong
 // path runs.
-func (p Params) buildBoundsCheck(secret uint8) *program.Program {
+func (p Params) buildBoundsCheck(secret uint8, r *rand.Rand) *program.Program {
 	b := program.NewBuilder(fmt.Sprintf("leakcheck/%s/seed%d", p.Kind, p.Seed))
 
 	// In-bounds indices are seed-random, not cyclic: a repeating ramp
 	// would give the committed probe accesses a near-constant stride for
 	// the prefetcher to extend.
-	idxr := rand.New(rand.NewSource(p.Seed ^ 0x2545_f491))
+	r.Seed(p.Seed ^ 0x2545_f491)
 	for i := 0; i < p.Rounds; i++ {
-		v := int64(idxr.Intn(boundValue))
+		v := int64(r.Intn(boundValue))
 		if i == p.Rounds-1 {
 			v = secretWord
 		}
 		b.InitMem(idxTableBase+uint64(i)*program.WordSize, v)
 	}
-	p.initGuardTable(b, func(int) int64 { return boundValue })
+	p.initGuardTable(b, r, func(int) int64 { return boundValue })
 	for i := 0; i < boundValue; i++ {
 		b.InitMem(arrBase+uint64(i)*program.WordSize, int64(i))
 	}
@@ -565,7 +569,7 @@ func (p Params) buildBoundsCheck(secret uint8) *program.Program {
 	b.ShlI(rT, rIdx, 3)
 	b.AddI(rT, rT, arrBase)
 	b.Load(rX, rT, 0)
-	p.emitTransmit(b)
+	p.emitTransmit(b, r)
 	b.Bind(skip)
 	b.AddI(rPIdx, rPIdx, program.WordSize)
 	b.AddI(rPTab, rPTab, program.WordSize)
@@ -582,12 +586,12 @@ func (p Params) buildBoundsCheck(secret uint8) *program.Program {
 // one — and transmits it before the violation squash. ShadowDepth adds
 // never-taken bounds checks with cold bounds, deepening the shadow without
 // changing the architectural path.
-func (p Params) buildStoreBypass(secret uint8) *program.Program {
+func (p Params) buildStoreBypass(secret uint8, r *rand.Rand) *program.Program {
 	b := program.NewBuilder(fmt.Sprintf("leakcheck/%s/seed%d", p.Kind, p.Seed))
 
 	// Guard line 0 of each round holds the store's base address (the
 	// secret cell); the remaining lines hold never-exceeded bounds.
-	p.initGuardTable(b, func(d int) int64 {
+	p.initGuardTable(b, r, func(d int) int64 {
 		if d == 0 {
 			return cellBase
 		}
@@ -625,7 +629,7 @@ func (p Params) buildStoreBypass(secret uint8) *program.Program {
 	b.Load(rSBase, rGB, 0)
 	b.Store(rPub, rSBase, 0)
 	b.Load(rX, rPCell, 0)
-	p.emitTransmit(b)
+	p.emitTransmit(b, r)
 	b.Bind(skip)
 	b.AddI(rPTab, rPTab, program.WordSize)
 	b.AddI(rCnt, rCnt, 1)
@@ -686,7 +690,7 @@ func alignPC(b *program.Builder, target int) {
 // passes have retired (training happens at commit) before the victim's
 // final round is fetched, making the mispredict deterministic rather than
 // fetch-depth dependent.
-func (p Params) buildBranchPoison(secret uint8) *program.Program {
+func (p Params) buildBranchPoison(secret uint8, r *rand.Rand) *program.Program {
 	b := program.NewBuilder(fmt.Sprintf("leakcheck/%s/seed%d", p.Kind, p.Seed))
 
 	for i := 0; i < boundValue; i++ {
@@ -724,7 +728,7 @@ func (p Params) buildBranchPoison(secret uint8) *program.Program {
 	b.ShlI(rT, rIdx, 3)
 	b.AddI(rT, rT, arrBase)
 	b.Load(rX, rT, 0)
-	p.emitTransmit(b)
+	p.emitTransmit(b, r)
 	b.Bind(cont)
 	b.AddI(rCnt, rCnt, 1)
 	b.Blt(rCnt, rLim, loop)
@@ -779,7 +783,7 @@ func (p Params) buildBranchPoison(secret uint8) *program.Program {
 	b.ShlI(rT, rIdx, 3)
 	b.AddI(rT, rT, arrBase)
 	b.Load(rX, rT, 0)
-	p.emitTransmit(b)
+	p.emitTransmit(b, r)
 	b.Bind(done)
 	b.Store(rAcc, rZero, trainBase)
 	b.Halt()
@@ -805,18 +809,18 @@ func (p Params) buildBranchPoison(secret uint8) *program.Program {
 // secret-shaped load is a delayed speculative miss that never issues, and
 // the pair stays indistinguishable, while the unsafe baseline's burst
 // reaches the MSHRs and diverges.
-func (p Params) buildContention(secret uint8) *program.Program {
+func (p Params) buildContention(secret uint8, r *rand.Rand) *program.Program {
 	b := program.NewBuilder(fmt.Sprintf("leakcheck/%s/seed%d", p.Kind, p.Seed))
 
-	idxr := rand.New(rand.NewSource(p.Seed ^ 0x2545_f491))
+	r.Seed(p.Seed ^ 0x2545_f491)
 	for i := 0; i < p.Rounds; i++ {
-		v := int64(idxr.Intn(boundValue))
+		v := int64(r.Intn(boundValue))
 		if i == p.Rounds-1 {
 			v = secretWord
 		}
 		b.InitMem(idxTableBase+uint64(i)*program.WordSize, v)
 	}
-	p.initGuardTable(b, func(int) int64 { return boundValue })
+	p.initGuardTable(b, r, func(int) int64 { return boundValue })
 	for i := 0; i < boundValue; i++ {
 		b.InitMem(arrBase+uint64(i)*program.WordSize, int64(i))
 	}
@@ -825,7 +829,8 @@ func (p Params) buildContention(secret uint8) *program.Program {
 	// Per-round pressure blocks: maxPressureWidth+1 lines each, in their
 	// own pseudorandom round order.
 	perBlock := uint64(maxPressureWidth+1) * lineSize
-	order := rand.New(rand.NewSource(p.Seed ^ 0x51_7cc1)).Perm(p.Rounds)
+	r.Seed(p.Seed ^ 0x51_7cc1)
+	order := r.Perm(p.Rounds)
 	for i := 0; i < p.Rounds; i++ {
 		base := contBase + uint64(order[i])*perBlock
 		b.InitMem(cptabBase+uint64(i)*program.WordSize, int64(base))
