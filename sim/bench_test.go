@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"doppelganger/internal/checkpoint"
 	"doppelganger/internal/leakcheck"
 	"doppelganger/sim"
 )
@@ -102,6 +103,30 @@ func BenchmarkRunFromCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunFromCheckpoint(context.Background(), p, cfg, ck); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotGadget measures checkpoint encode and decode on a
+// leakcheck gadget's snapshot (Generate(1) under DoM with doppelganger
+// loads, 200 warm-up instructions): the canonical encoding and digest of
+// the captured state, then decoding and verifying that encoding. The
+// snapshot is taken once, outside the loop.
+func BenchmarkSnapshotGadget(b *testing.B) {
+	g := leakcheck.Generate(1).Normalize()
+	snap, err := sim.Snapshot(g.Build(g.SecretA), leakcheck.Config{Scheme: sim.DoM, AP: true}.SimConfig(g), 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ck, err := checkpoint.New(snap.Meta(), snap.State())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.DecodeCheckpoint(ck.Encode()); err != nil {
 			b.Fatal(err)
 		}
 	}
