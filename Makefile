@@ -68,7 +68,7 @@ benchbaseline:
 	$(GO) test -run '^$$' -bench . -benchmem -count=6 $(BENCH_PKGS) | \
 		$(GO) run ./cmd/benchcheck -write BENCH_baseline.json
 
-# Full benchmark sweep (paper figures included); informational, not a gate.
+# Every benchmark in the module, gated or not; informational, not a gate.
 bench:
 	$(GO) test -run '^$$' -bench . ./...
 

@@ -5,12 +5,15 @@
 //	figures -scale test   # quick (small workload instances)
 //	figures -only fig6    # a single artifact: table1, fig1, fig6, fig7, fig8, baselineap
 //	figures -workloads stream,pointer_chase
+//	figures -only extensions    # also sensitivity-{rob,mshrs,predictor,ports,prefetch};
+//	                            # these run on the first of -workloads (default stream)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"doppelganger/internal/harness"
@@ -20,7 +23,7 @@ import (
 
 func main() {
 	scale := flag.String("scale", "full", "workload scale: full or test")
-	only := flag.String("only", "", "render one artifact: table1, fig1, fig6, fig7, fig8, baselineap, extensions")
+	only := flag.String("only", "", "render one artifact: table1, fig1, fig6, fig7, fig8, baselineap, extensions, sensitivity-<axis>")
 	names := flag.String("workloads", "", "comma-separated workload subset (default all)")
 	verify := flag.Bool("verify", true, "cross-check architectural state against the reference interpreter")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress lines")
@@ -54,11 +57,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var runOpts []sim.RunOption
-	if met != nil {
-		runOpts = append(runOpts, sim.WithMetrics(met))
-	}
-
 	if *only == "table1" {
 		harness.PrintTable1(os.Stdout)
 		return
@@ -68,36 +66,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
-	if len(*only) > 12 && (*only)[:12] == "sensitivity-" {
-		name := "stream"
-		if *names != "" {
-			name = strings.Split(*names, ",")[0]
-		}
-		axis := (*only)[12:]
-		points, err := harness.RunSensitivity(axis, name, sc, runOpts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		harness.PrintSensitivity(os.Stdout, axis, name, points)
-		writeMetrics()
-		return
-	}
-	if *only == "extensions" {
-		name := "stream"
-		if *names != "" {
-			name = strings.Split(*names, ",")[0]
-		}
-		rows, err := harness.RunExtensions(name, sc, runOpts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		harness.PrintExtensions(os.Stdout, name, rows)
-		writeMetrics()
-		return
-	}
-
 	opts := harness.Options{Scale: sc, Verify: *verify, Parallelism: *parallel, Metrics: met, WarmupInsts: *warmup}
 	if !*quiet {
 		opts.Progress = os.Stderr
@@ -105,6 +73,49 @@ func main() {
 	if *names != "" {
 		opts.Workloads = strings.Split(*names, ",")
 	}
+	if i := slices.IndexFunc(harness.Experiments, func(e harness.Experiment) bool { return e.Name == *only }); i >= 0 {
+		e := harness.Experiments[i]
+		name := "stream"
+		if len(opts.Workloads) > 0 {
+			name = opts.Workloads[0]
+		}
+		rows, err := e.Run(name, opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(1)
+		}
+		failures := 0
+		if *check {
+			failures = harness.PrintShapeChecks(os.Stdout, e.Check(name, rows))
+		} else {
+			e.Print(os.Stdout, name, rows)
+		}
+		writeMetrics()
+		if failures > 0 {
+			os.Exit(1)
+		}
+		return
+	}
+	artifacts := []struct {
+		name  string
+		print func(*harness.Matrix)
+	}{
+		{"table1", func(*harness.Matrix) { harness.PrintTable1(os.Stdout) }},
+		{"fig1", func(m *harness.Matrix) { harness.PrintFigure1(os.Stdout, m) }},
+		{"fig6", func(m *harness.Matrix) { harness.PrintFigure6(os.Stdout, m) }},
+		{"fig7", func(m *harness.Matrix) { harness.PrintFigure7(os.Stdout, m) }},
+		{"fig8", func(m *harness.Matrix) { harness.PrintFigure8(os.Stdout, m) }},
+		{"baselineap", func(m *harness.Matrix) { harness.PrintBaselineAP(os.Stdout, m) }},
+	}
+	known := *only == ""
+	for _, a := range artifacts {
+		known = known || *only == a.name
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q\n", *only)
+		os.Exit(2)
+	}
+
 	m, err := harness.Run(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
@@ -132,27 +143,10 @@ func main() {
 		return
 	}
 
-	artifacts := []struct {
-		name  string
-		print func()
-	}{
-		{"table1", func() { harness.PrintTable1(os.Stdout) }},
-		{"fig1", func() { harness.PrintFigure1(os.Stdout, m) }},
-		{"fig6", func() { harness.PrintFigure6(os.Stdout, m) }},
-		{"fig7", func() { harness.PrintFigure7(os.Stdout, m) }},
-		{"fig8", func() { harness.PrintFigure8(os.Stdout, m) }},
-		{"baselineap", func() { harness.PrintBaselineAP(os.Stdout, m) }},
-	}
-	found := false
 	for _, a := range artifacts {
 		if *only == "" || *only == a.name {
-			a.print()
+			a.print(m)
 			fmt.Println()
-			found = true
 		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q\n", *only)
-		os.Exit(2)
 	}
 }

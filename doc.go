@@ -6,7 +6,7 @@
 // The public API lives in the sim package; the cycle-level out-of-order
 // core, memory hierarchy, secure speculation schemes (NDA-P, STT,
 // Delay-on-Miss), shared stride predictor/prefetcher, and synthetic
-// benchmark suite live under internal/. The benchmarks in this package
-// (bench_test.go) regenerate every table and figure of the paper's
-// evaluation; cmd/figures prints them as text reports.
+// benchmark suite live under internal/. internal/harness runs every table
+// and figure of the paper's evaluation, plus the extensions appendix and
+// the sensitivity sweeps; cmd/figures prints them as text reports.
 package doppelganger

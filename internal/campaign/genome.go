@@ -47,26 +47,3 @@ func Mutate(p leakcheck.Params, rng *rand.Rand) leakcheck.Params {
 	}
 	return p.Normalize()
 }
-
-// Random draws an unbiased genome: every field sampled uniformly from its
-// (pre-Normalize) range, independent of any parent. Used to seed fresh
-// exploration and as the blind baseline's generator.
-func Random(rng *rand.Rand) leakcheck.Params {
-	kinds := leakcheck.Kinds()
-	return leakcheck.Params{
-		Seed:           rng.Int63(),
-		Kind:           kinds[rng.Intn(len(kinds))],
-		Rounds:         rng.Intn(32),
-		ShadowDepth:    rng.Intn(5),
-		ChainLen:       rng.Intn(8),
-		TrainLoops:     rng.Intn(4),
-		DoubleTransmit: rng.Intn(2) == 1,
-		Prime:          rng.Intn(2) == 1,
-		AliasTrainings: rng.Intn(6),
-		AliasPad:       rng.Intn(20),
-		PressureWidth:  rng.Intn(8),
-		SecretBit:      rng.Intn(8),
-		SecretA:        uint8(rng.Intn(256)),
-		SecretB:        uint8(rng.Intn(256)),
-	}.Normalize()
-}

@@ -112,20 +112,14 @@ func (s *Scheduler) Add(p leakcheck.Params, newCells int) {
 	s.total += e
 }
 
-// Pick draws a parent genome by energy-weighted roulette and decays the
+// pick draws a parent genome by energy-weighted roulette and decays the
 // winner's energy by one (down to the floor). Early inputs discover huge
 // cell counts simply because the map is empty; without decay their energy
 // would dominate the roulette forever and the campaign would fixate on one
 // basin. Decay spends that initial advantage across picks, shifting the
-// budget toward whichever inputs keep earning fresh energy.
-func (s *Scheduler) Pick() leakcheck.Params {
-	i, _ := s.pick()
-	return s.inputs[i].params
-}
-
-// pick is the roulette draw behind Pick, additionally reporting which
-// input won and whether its energy was decremented — what Forget needs to
-// refund the draw.
+// budget toward whichever inputs keep earning fresh energy. It reports
+// which input won and whether its energy was decremented — what Forget
+// needs to refund the draw.
 func (s *Scheduler) pick() (idx int, decremented bool) {
 	t := s.rng.Intn(s.total)
 	for i := range s.inputs {

@@ -10,7 +10,7 @@ import (
 // from its own Encode to the same digest and embedded program. Whether a
 // hostile core state survives restore is beyond this target.
 //
-//	go test -fuzz=FuzzCheckpointDecode -fuzztime=2m -run '^$' ./internal/checkpoint
+//	go test -fuzz=FuzzCheckpointDecode -fuzztime=2m -fuzzminimizetime=100x -run '^$' ./internal/checkpoint
 func FuzzCheckpointDecode(f *testing.F) {
 	good := goldenCheckpoint(f).Encode()
 	f.Add(good)

@@ -47,17 +47,22 @@ func PrintFigure1(w io.Writer, m *Matrix) {
 	fmt.Fprintf(w, "  paper:   nda-p 88.7%% -> 93.5%% (42.0%%), stt 90.5%% -> 95.1%% (48.2%%), dom 81.8%% -> 87.3%% (30.3%%)\n")
 }
 
-// schemeHeader renders the per-scheme column header shared by Figures 6
-// and 8: one "scheme +AP" pair per evaluated scheme, pipe-separated.
-func schemeHeader(w io.Writer) {
-	fmt.Fprintf(w, "  %-16s", "workload")
+// schemeRow renders one row of Figures 6 and 8: the label, then one
+// "base +AP" pair per evaluated scheme, pipe-separated.
+func schemeRow(w io.Writer, label string, pair func(secure.Scheme) string) {
+	fmt.Fprintf(w, "  %-16s", label)
 	for i, s := range Schemes {
-		fmt.Fprintf(w, " %7s %7s", s, "+AP")
-		if i < len(Schemes)-1 {
+		if i > 0 {
 			fmt.Fprint(w, " |")
 		}
+		fmt.Fprint(w, pair(s))
 	}
 	fmt.Fprintln(w)
+}
+
+// schemeHeader is the column header row of Figures 6 and 8.
+func schemeHeader(w io.Writer) {
+	schemeRow(w, "workload", func(s secure.Scheme) string { return fmt.Sprintf(" %7s %7s", s, "+AP") })
 }
 
 // PrintFigure6 renders per-workload normalized IPC for every evaluated
@@ -66,23 +71,13 @@ func PrintFigure6(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 6: Normalized IPC to baseline (per workload)")
 	schemeHeader(w)
 	for _, name := range m.Workloads {
-		fmt.Fprintf(w, "  %-16s", name)
-		for i, s := range Schemes {
-			fmt.Fprintf(w, " %6.1f%% %6.1f%%", m.NormIPC(name, s, false)*100, m.NormIPC(name, s, true)*100)
-			if i < len(Schemes)-1 {
-				fmt.Fprint(w, " |")
-			}
-		}
-		fmt.Fprintln(w)
+		schemeRow(w, name, func(s secure.Scheme) string {
+			return fmt.Sprintf(" %6.1f%% %6.1f%%", m.NormIPC(name, s, false)*100, m.NormIPC(name, s, true)*100)
+		})
 	}
-	fmt.Fprintf(w, "  %-16s", "GMEAN")
-	for i, s := range Schemes {
-		fmt.Fprintf(w, " %6.1f%% %6.1f%%", m.GeomeanNormIPC(s, false)*100, m.GeomeanNormIPC(s, true)*100)
-		if i < len(Schemes)-1 {
-			fmt.Fprint(w, " |")
-		}
-	}
-	fmt.Fprintln(w)
+	schemeRow(w, "GMEAN", func(s secure.Scheme) string {
+		return fmt.Sprintf(" %6.1f%% %6.1f%%", m.GeomeanNormIPC(s, false)*100, m.GeomeanNormIPC(s, true)*100)
+	})
 }
 
 // PrintFigure7 renders address-predictor coverage and accuracy per workload
@@ -104,20 +99,16 @@ func PrintFigure7(w io.Writer, m *Matrix) {
 // baseline for each scheme with and without AP.
 func PrintFigure8(w io.Writer, m *Matrix) {
 	fmt.Fprintln(w, "Figure 8: Cache accesses normalized to baseline")
-	for level, norm := range map[string]func(string, secure.Scheme, bool) float64{
-		"L1": m.NormL1, "L2": m.NormL2,
-	} {
-		fmt.Fprintf(w, "  [%s accesses]\n", level)
+	for _, level := range []struct {
+		name string
+		norm func(string, secure.Scheme, bool) float64
+	}{{"L1", m.NormL1}, {"L2", m.NormL2}} {
+		fmt.Fprintf(w, "  [%s accesses]\n", level.name)
 		schemeHeader(w)
 		for _, name := range m.Workloads {
-			fmt.Fprintf(w, "  %-16s", name)
-			for i, s := range Schemes {
-				fmt.Fprintf(w, "  %6.2f  %6.2f", norm(name, s, false), norm(name, s, true))
-				if i < len(Schemes)-1 {
-					fmt.Fprint(w, " |")
-				}
-			}
-			fmt.Fprintln(w)
+			schemeRow(w, name, func(s secure.Scheme) string {
+				return fmt.Sprintf("  %6.2f  %6.2f", level.norm(name, s, false), level.norm(name, s, true))
+			})
 		}
 	}
 }

@@ -88,20 +88,53 @@ func Run(opts Options) (*Matrix, error) {
 	m := &Matrix{Workloads: names, Results: make(map[Key]sim.Result)}
 	schemes := append([]secure.Scheme{secure.Unsafe}, Schemes...)
 
-	// Build every program up front (cheap, deterministic) and, when
-	// verifying or warm-starting, the reference checksums and warmup
-	// checkpoints — in parallel, since the interpreter and the warmup
-	// simulation both run serially per workload.
-	progs := make([]*sim.Program, len(names))
-	refSums := make([]uint64, len(names))
+	progs, refSums, ckpts, err := prepare(opts, names)
+	if err != nil {
+		return nil, err
+	}
+
+	// One job per cell, in matrix order. RunBatch's ordered callback then
+	// replays completions in exactly this order.
+	cells := make([]Key, 0, len(names)*len(schemes)*2)
+	jobs := make([]batchJob, 0, cap(cells))
+	for i, name := range names {
+		for _, s := range schemes {
+			for _, ap := range []bool{false, true} {
+				cells = append(cells, Key{name, s, ap})
+				jobs = append(jobs, batchJob{
+					Job: engine.Job{
+						Program:    progs[i],
+						Config:     sim.Config{Scheme: s, AddressPrediction: ap},
+						Checkpoint: ckpts[i],
+					},
+					ref:      refSums[i],
+					what:     fmt.Sprintf("%s under %v ap=%v", name, s, ap),
+					progress: fmt.Sprintf("%-16s %-7v ap=%-5v", name, s, ap),
+				})
+			}
+		}
+	}
+	if err := runBatch(opts, jobs, func(i int, res sim.Result) { m.Results[cells[i]] = res }); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// prepare builds each workload's program and, when verifying or
+// warm-starting, its reference checksum and warmup checkpoint — in
+// parallel, since the interpreter and the warmup simulation both run
+// serially per workload. Building is cheap and deterministic.
+func prepare(opts Options, names []string) (progs []*sim.Program, refSums []uint64, ckpts []*sim.Checkpoint, err error) {
+	progs = make([]*sim.Program, len(names))
+	refSums = make([]uint64, len(names))
 	refErrs := make([]error, len(names))
-	ckpts := make([]*sim.Checkpoint, len(names))
+	ckpts = make([]*sim.Checkpoint, len(names))
 	ckErrs := make([]error, len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		w, ok := workload.ByName(name)
 		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", name)
+			return nil, nil, nil, fmt.Errorf("harness: unknown workload %q", name)
 		}
 		progs[i] = w.Build(opts.Scale)
 		if opts.Verify {
@@ -130,69 +163,56 @@ func Run(opts Options) (*Matrix, error) {
 		}
 	}
 	wg.Wait()
-	for _, err := range refErrs {
+	for _, err := range append(refErrs, ckErrs...) {
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
-	for _, err := range ckErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	return progs, refSums, ckpts, nil
+}
 
-	// One job per cell, in matrix order. RunBatch's ordered callback then
-	// replays completions in exactly this order.
-	type cell struct {
-		Key
-		wi int
-	}
-	cells := make([]cell, 0, len(names)*len(schemes)*2)
-	jobs := make([]engine.Job, 0, cap(cells))
-	for i, name := range names {
-		for _, s := range schemes {
-			for _, ap := range []bool{false, true} {
-				cells = append(cells, cell{Key{name, s, ap}, i})
-				jobs = append(jobs, engine.Job{
-					Program:    progs[i],
-					Config:     sim.Config{Scheme: s, AddressPrediction: ap},
-					Checkpoint: ckpts[i],
-				})
-			}
-		}
-	}
+// batchJob is one run of a harness batch and how it names itself.
+type batchJob struct {
+	engine.Job
+	ref      uint64 // reference checksum, compared when Options.Verify
+	what     string // names the run in a divergence error
+	progress string // leads the run's progress line
+}
 
+// runBatch runs jobs as one batch on opts.Engine (or a fresh engine) and
+// hands each verified result to done, and to opts.Progress, in job order.
+// The first engine or verification error stops the callbacks.
+func runBatch(opts Options, jobs []batchJob, done func(i int, res sim.Result)) error {
 	eng := opts.Engine
 	if eng == nil {
 		eng = engine.New(engine.Options{Workers: opts.Parallelism, Metrics: opts.Metrics})
 		defer eng.Close()
 	}
-
+	ejobs := make([]engine.Job, len(jobs))
+	for i, j := range jobs {
+		ejobs[i] = j.Job
+	}
 	var verifyErr error
-	_, err := eng.RunBatch(context.Background(), jobs, func(i int, res sim.Result, err error) {
+	_, err := eng.RunBatch(context.Background(), ejobs, func(i int, res sim.Result, err error) {
 		if err != nil || verifyErr != nil {
 			return
 		}
-		c := cells[i]
-		if opts.Verify && res.Checksum != refSums[c.wi] {
-			verifyErr = fmt.Errorf("harness: %s under %v ap=%v: architectural state diverged",
-				c.Workload, c.Scheme, c.AP)
+		j := jobs[i]
+		if opts.Verify && res.Checksum != j.ref {
+			verifyErr = fmt.Errorf("harness: %s: architectural state diverged", j.what)
 			return
 		}
-		m.Results[c.Key] = res
+		done(i, res)
 		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "%-16s %-7v ap=%-5v cycles=%9d ipc=%.3f cov=%.2f acc=%.2f\n",
-				c.Workload, c.Scheme, c.AP, res.Cycles, res.IPC, res.Coverage, res.Accuracy)
+			fmt.Fprintf(opts.Progress, "%s cycles=%9d ipc=%.3f cov=%.2f acc=%.2f\n",
+				j.progress, res.Cycles, res.IPC, res.Coverage, res.Accuracy)
 		}
 	})
 	if err != nil {
 		// Engine errors already name the program, scheme and cause.
-		return nil, fmt.Errorf("harness: %w", err)
+		return fmt.Errorf("harness: %w", err)
 	}
-	if verifyErr != nil {
-		return nil, verifyErr
-	}
-	return m, nil
+	return verifyErr
 }
 
 // Get returns the result for a cell; it panics on a missing cell, which

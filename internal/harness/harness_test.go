@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"doppelganger/internal/engine"
 	"doppelganger/internal/secure"
 	"doppelganger/internal/workload"
 )
@@ -183,34 +184,50 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestExtensionsAndSensitivityArtifacts checks the experiment table that
+// `figures -only` looks names up in, and that an experiment's batch
+// verifies each run and shares the engine's result cache with the matrix.
 func TestExtensionsAndSensitivityArtifacts(t *testing.T) {
-	rows, err := RunExtensions("matrix_blocked", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
+	byName := make(map[string]Experiment)
+	for _, e := range Experiments {
+		if _, dup := byName[e.Name]; dup {
+			t.Errorf("two experiments named %q", e.Name)
+		}
+		byName[e.Name] = e
 	}
-	if len(rows) < 10 {
-		t.Fatalf("extensions appendix has %d rows", len(rows))
+	for _, name := range []string{"extensions", "sensitivity-rob", "sensitivity-mshrs",
+		"sensitivity-predictor", "sensitivity-ports", "sensitivity-prefetch"} {
+		if _, ok := byName[name]; !ok {
+			t.Errorf("no experiment %q", name)
+		}
 	}
-	var buf bytes.Buffer
-	PrintExtensions(&buf, "matrix_blocked", rows)
-	if !strings.Contains(buf.String(), "dom+VP") {
-		t.Error("extensions output missing dom+VP row")
+	ports := byName["sensitivity-ports"]
+	if _, err := ports.Run("nope", Options{Scale: workload.ScaleTest}); err == nil {
+		t.Error("unknown workload should fail")
 	}
 
-	points, err := RunSensitivity("ports", "matrix_blocked", workload.ScaleTest)
+	eng := engine.New(engine.Options{Workers: 2})
+	defer eng.Close()
+	opts := Options{Scale: workload.ScaleTest, Verify: true, Engine: eng}
+	rows, err := ports.Run("matrix_blocked", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("ports sweep has %d points", len(points))
+	if len(rows) != 9 || rows[3].Label != "ports=2" {
+		t.Fatalf("ports sweep rows = %d, rows[3] = %q", len(rows), rows[3].Label)
 	}
-	buf.Reset()
-	PrintSensitivity(&buf, "ports", "matrix_blocked", points)
-	if !strings.Contains(buf.String(), "ports=2") {
-		t.Error("sensitivity output missing the paper point")
+	// The paper point (ports=2) runs the matrix's own DoM cells.
+	before := eng.Stats().JobsRun
+	opts.Workloads = []string{"matrix_blocked"}
+	m, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunSensitivity("bogus", "matrix_blocked", workload.ScaleTest); err == nil {
-		t.Error("unknown axis should fail")
+	if got := eng.Stats().JobsRun - before; got != 10-3 {
+		t.Errorf("matrix after the ports sweep ran %d jobs, want 7", got)
+	}
+	if m.Get("matrix_blocked", secure.DoM, true) != rows[5].Result {
+		t.Error("matrix dom+AP cell differs from the ports=2 sweep point")
 	}
 }
 

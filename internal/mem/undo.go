@@ -317,9 +317,6 @@ func (h *Hierarchy) EnableUndo(opts UndoOptions) {
 	h.undo = &undoJournal{opts: opts, recs: make([]undoRec, 0, 256)}
 }
 
-// UndoEnabled reports whether a rollback journal is attached.
-func (h *Hierarchy) UndoEnabled() bool { return h.undo != nil }
-
 // UndoPending reports the number of live (unretired, un-rolled-back)
 // journal records, counting each instruction's rejection tally as one;
 // zero when no journal is attached. A quiescent machine must always report

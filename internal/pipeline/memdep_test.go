@@ -66,6 +66,9 @@ func TestStoreSetPredictorKillsViolations(t *testing.T) {
 	}
 	off := run(false)
 	on := run(true)
+	t.Logf("store sets off: %d violations, %d cycles; on: %d violations, %d cycles, %d memdep stalls",
+		off.Stats.MemOrderViolations, off.Stats.Cycles,
+		on.Stats.MemOrderViolations, on.Stats.Cycles, on.Stats.MemDepStalls)
 	if off.Stats.MemOrderViolations < 10 {
 		t.Fatalf("test premise broken: only %d violations without prediction", off.Stats.MemOrderViolations)
 	}

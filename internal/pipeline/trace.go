@@ -4,8 +4,8 @@ import "doppelganger/internal/obs"
 
 // Tracing: the core emits typed obs.Events to an attached TraceSink. With
 // no sink attached (the default), every emission site costs one predictable
-// branch on c.tracing — the nil fast path benchmarked by
-// BenchmarkSimulatorThroughput.
+// branch on c.tracing — the nil fast path benchmarked by sim's
+// BenchmarkRunUntraced.
 
 // SetTraceSink attaches a trace sink; pass nil to detach. Call it before
 // Run; Reset detaches it. The core is not safe for concurrent use.

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"doppelganger/internal/pipeline"
 	"doppelganger/internal/program"
@@ -372,10 +371,10 @@ func (r obsRequest) capture(c *pipeline.Core, p *Program) {
 }
 
 // CaptureObservation fills *out from a finished core, exactly as Observe
-// does at the end of RunContext. It exists for executors that drive cores
-// directly (the engine worker pool): call ClausesNeedTraces before the run
-// to know whether Core.EnableObsTraces is required, run to completion, then
-// capture.
+// does at the end of RunContext. It is for callers that drive a core
+// directly and time or test the capture on its own: enable
+// Core.EnableObsTraces before the run when the clause set needs traces
+// (the full lattice does), run to completion, then capture.
 func CaptureObservation(out *Observation, c *Core, p *Program, clauses ...Clause) {
 	obsRequest{out: out, clauses: canonClauses(clauses)}.capture(c, p)
 }
@@ -386,13 +385,6 @@ func CaptureObservation(out *Observation, c *Core, p *Program, clauses ...Clause
 // the full lattice (CTSpec, the top clause).
 func CanonicalClauses(cs []Clause) []Clause {
 	return canonClauses(cs)
-}
-
-// ClausesNeedTraces reports whether observing the clause set requires the
-// core's rolling trace digests (Core.EnableObsTraces before the run). An
-// empty set means the full lattice, which does.
-func ClausesNeedTraces(cs []Clause) bool {
-	return needsTraces([]obsRequest{{clauses: canonClauses(cs)}})
 }
 
 // Observe fills *out with what a contract observer saw, for each requested
@@ -410,18 +402,4 @@ func Observe(out *Observation, clauses ...Clause) RunOption {
 	return func(o *runOpts) {
 		o.observe = append(o.observe, obsRequest{out: out, clauses: canon})
 	}
-}
-
-// ContractTable renders per-clause verdict strings (produced elsewhere)
-// under the canonical lattice order — a small formatting helper shared by
-// cmd/leakcheck and doppeld.
-func ContractTable(verdicts map[Clause]string) string {
-	var sb strings.Builder
-	for i, c := range Lattice() {
-		if i > 0 {
-			sb.WriteString(" ")
-		}
-		fmt.Fprintf(&sb, "%s=%s", c, verdicts[c])
-	}
-	return sb.String()
 }
