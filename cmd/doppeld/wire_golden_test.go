@@ -24,7 +24,8 @@ var wallClock = regexp.MustCompile(`("(?:duration_ms|uptime_ms)":\s*)\d+`)
 
 // TestWireGolden replays a fixed request sequence against a fresh server
 // and compares every reply with the golden: a test-scale run, a small
-// sweep, and the refused requests of TestBadRequestsAre400.
+// sweep, the refused requests of TestBadRequestsAre400, a small contract
+// sweep and a small campaign.
 func TestWireGolden(t *testing.T) {
 	ts := newTestServer(t)
 	var out bytes.Buffer
@@ -36,6 +37,8 @@ func TestWireGolden(t *testing.T) {
 		{"/v1/run", `{"typo_field":1}`},
 		{"/v1/run", `{`},
 		{"/v1/sweep", `{"ap":"maybe","scale":"test"}`},
+		{"/v1/leakcheck", `{"schemes":["unsafe","dom"],"seeds":4}`},
+		{"/v1/campaign", `{"schemes":["unsafe"],"ap":"off","budget":4,"seed":1}`},
 	} {
 		resp, body := postJSON(t, ts.URL+c.ep, c.body)
 		fmt.Fprintf(&out, "=== POST %s %s\nstatus %d\n%s\n", c.ep, c.body, resp.StatusCode, wallClock.ReplaceAll(body, []byte("${1}0")))

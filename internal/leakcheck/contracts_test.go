@@ -1,7 +1,10 @@
 package leakcheck
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
 	"os"
 	"runtime"
 	"testing"
@@ -24,6 +27,10 @@ import (
 // rows are exact because the frozen Generate stream is un-primed: intact
 // cleanup has a known benign divergence mode on primed gadgets (the LRU
 // victim-perturbation residual) that this stream never reaches.
+//
+// The verdict golden cannot see leak counts, first seeds or components, so
+// the full results are also compared with testdata/contract_sweep.json;
+// regenerate it with -update-contract-sweep.
 func TestContractMatrixGolden(t *testing.T) {
 	cfgs := Configs(secure.AllSchemes(), []bool{false, true})
 	results, err := ContractSweep(context.Background(), cfgs, 0, testSeeds, runtime.GOMAXPROCS(0))
@@ -41,6 +48,7 @@ func TestContractMatrixGolden(t *testing.T) {
 	for _, d := range MatrixOf(results).Diff(want) {
 		t.Error(d)
 	}
+	compareContractSweep(t, results)
 
 	// The matrix must not be vacuous: the unsafe rows have to be
 	// distinguishable on every seed, through cache state and the transient
@@ -62,6 +70,57 @@ func TestContractMatrixGolden(t *testing.T) {
 		if !found {
 			t.Errorf("%s: ct-spec leak components %v missing addr-trace-spec", r.Config, cell.Components)
 		}
+	}
+}
+
+// updateContractSweep regenerates testdata/contract_sweep.json:
+//
+//	go test ./internal/leakcheck -run TestContractMatrixGolden -update-contract-sweep
+var updateContractSweep = flag.Bool("update-contract-sweep", false,
+	"regenerate testdata/contract_sweep.json instead of comparing against it")
+
+const contractSweepFile = "testdata/contract_sweep.json"
+
+// compareContractSweep compares every field of the sweep results, clauses
+// and configs by name, with contractSweepFile.
+func compareContractSweep(t *testing.T, results []ContractResult) {
+	t.Helper()
+	type cell struct {
+		Clause     string   `json:"clause"`
+		Leaks      int      `json:"leaks"`
+		FirstSeed  int64    `json:"first_seed"`
+		Components []string `json:"components"`
+	}
+	type row struct {
+		Config string `json:"config"`
+		Seeds  int    `json:"seeds"`
+		Cells  []cell `json:"cells"`
+	}
+	var rows []row
+	for _, r := range results {
+		rw := row{Config: r.Config.String(), Seeds: r.Seeds}
+		for _, c := range r.Cells {
+			rw.Cells = append(rw.Cells, cell{c.Clause.String(), c.Leaks, c.FirstSeed, c.Components})
+		}
+		rows = append(rows, rw)
+	}
+	got, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if *updateContractSweep {
+		if err := os.WriteFile(contractSweepFile, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(contractSweepFile)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-contract-sweep)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("contract sweep differs from %s (regenerate with -update-contract-sweep after an intentional change)", contractSweepFile)
 	}
 }
 
