@@ -59,26 +59,7 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		api.Fail(w, err)
 		return
 	}
-	resp := api.CampaignResponse{
-		Schema:   api.SchemaVersion,
-		ID:       s.newID("campaign"),
-		Budget:   budget,
-		Seed:     req.Seed,
-		Evals:    sum.Evals,
-		Pairs:    sum.Pairs,
-		Cells:    sum.Cells,
-		NewLeaks: sum.NewLeaks,
-		DupLeaks: sum.DupLeaks,
-	}
-	for _, lk := range sum.Leaks {
-		resp.Leaks = append(resp.Leaks, api.CampaignLeak{
-			Config:     lk.Config.String(),
-			Params:     lk.Params.String(),
-			Components: lk.Components,
-			Clauses:    lk.Clauses,
-			Key:        lk.Key,
-		})
-	}
+	resp := sum.Response(s.newID("campaign"), budget, req.Seed)
 	s.store(resp.ID, resp)
 	api.WriteJSON(w, http.StatusOK, resp)
 }

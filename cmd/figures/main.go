@@ -6,7 +6,8 @@
 //	figures -only fig6    # a single artifact: table1, fig1, fig6, fig7, fig8, baselineap
 //	figures -workloads stream,pointer_chase
 //	figures -only extensions    # also sensitivity-{rob,mshrs,predictor,ports,prefetch};
-//	                            # these run on the first of -workloads (default stream)
+//	                            # these run cold on the first of -workloads (default
+//	                            # stream) and refuse -warmup
 package main
 
 import (
@@ -75,6 +76,10 @@ func main() {
 	}
 	if i := slices.IndexFunc(harness.Experiments, func(e harness.Experiment) bool { return e.Name == *only }); i >= 0 {
 		e := harness.Experiments[i]
+		if *warmup > 0 {
+			fmt.Fprintf(os.Stderr, "figures: -only %s runs cold; -warmup is not supported there\n", e.Name)
+			os.Exit(2)
+		}
 		name := "stream"
 		if len(opts.Workloads) > 0 {
 			name = opts.Workloads[0]

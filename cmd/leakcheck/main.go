@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"strings"
 
-	"doppelganger/api"
 	"doppelganger/internal/campaign"
 	"doppelganger/internal/leakcheck"
 	"doppelganger/internal/secure"
@@ -60,7 +59,7 @@ func main() {
 		mutations    = flag.Bool("mutations", true, "also run the mutation gauntlet (planted scheme weakenings must be caught)")
 		mutSeeds     = flag.Int("mutation-seeds", 64, "max seeds to hunt per planted mutation")
 		minimize     = flag.Bool("minimize", false, "minimize each leaking reproducer")
-		warmup       = flag.Uint64("warmup", 0, "route each run through snapshot/restore after N warmed instructions (0 = straight-line)")
+		warmup       = flag.Uint64("warmup", 0, "route each run through snapshot/restore after N warmed instructions (0 = straight-line; refused with -campaign)")
 		contracts    = flag.Bool("contracts", false, "evaluate the full contract lattice and emit the per-scheme contract matrix")
 		campaignRun  = flag.Bool("campaign", false, "run a coverage-guided campaign instead of a fixed-seed sweep")
 		budget       = flag.Int("budget", 256, "campaign mode: genome evaluations to spend")
@@ -152,26 +151,9 @@ func runCampaign(ctx context.Context, cfgs []leakcheck.Config,
 		fatal(err)
 	}
 
-	resp := api.CampaignResponse{
-		Schema:   api.SchemaVersion,
-		ID:       "campaign-local",
-		Budget:   budget,
-		Seed:     seed,
-		Evals:    sum.Evals,
-		Pairs:    sum.Pairs,
-		Cells:    sum.Cells,
-		NewLeaks: sum.NewLeaks,
-		DupLeaks: sum.DupLeaks,
-	}
+	resp := sum.Response("campaign-local", budget, seed)
 	var failures []string
 	for _, lk := range sum.Leaks {
-		resp.Leaks = append(resp.Leaks, api.CampaignLeak{
-			Config:     lk.Config.String(),
-			Params:     lk.Params.String(),
-			Components: lk.Components,
-			Clauses:    lk.Clauses,
-			Key:        lk.Key,
-		})
 		if lk.Config.Defends(lk.Params.Kind) {
 			failures = append(failures,
 				fmt.Sprintf("SECURITY: %s leaks via %s (%s)",

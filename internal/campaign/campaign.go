@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"doppelganger/api"
 	"doppelganger/internal/engine"
 	"doppelganger/internal/leakcheck"
 	"doppelganger/sim"
@@ -63,6 +64,26 @@ type Summary struct {
 	Leaks []LeakRecord `json:"leaks"`
 }
 
+// Response renders the summary as the campaign wire reply, echoing the
+// run's effective budget and seed under the given id.
+func (s *Summary) Response(id string, budget int, seed int64) api.CampaignResponse {
+	resp := api.CampaignResponse{
+		Schema: api.SchemaVersion, ID: id, Budget: budget, Seed: seed,
+		Evals: s.Evals, Pairs: s.Pairs, Cells: s.Cells,
+		NewLeaks: s.NewLeaks, DupLeaks: s.DupLeaks,
+	}
+	for _, lk := range s.Leaks {
+		resp.Leaks = append(resp.Leaks, api.CampaignLeak{
+			Config:     lk.Config.String(),
+			Params:     lk.Params.String(),
+			Components: lk.Components,
+			Clauses:    lk.Clauses,
+			Key:        lk.Key,
+		})
+	}
+	return resp
+}
+
 // Run executes a campaign: resume the corpus, then spend the budget on
 // scheduler-chosen genomes, folding every evaluation into the coverage map
 // and every novel leak — behaviour-deduped, minimized, reproducer-deduped —
@@ -74,6 +95,14 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	}
 	if opts.Budget <= 0 {
 		return nil, fmt.Errorf("campaign: budget must be positive")
+	}
+	for _, cfg := range cfgs {
+		// Engine jobs run cold while Minimize replays leaks through the
+		// checkpoint path, so a warm config would find and minimise a
+		// leak on two different programs.
+		if cfg.WarmupInsts > 0 {
+			return nil, fmt.Errorf("campaign: %s: warm-started configs are not supported (WarmupInsts=%d)", cfg, cfg.WarmupInsts)
+		}
 	}
 	batch := opts.BatchSize
 	if batch <= 0 {
@@ -171,15 +200,15 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 					Params: g, Config: cfg,
 					ResA: results[ji], ResB: results[ji+1],
 					ObsA: obses[ji], ObsB: obses[ji+1],
+					Leak: leakcheck.PairLeak(g, cfg, obses[ji], obses[ji+1]),
 				}
 				ji += 2
 				cells = append(cells, ev.Cells()...)
 				sum.Pairs++
-				comps := ev.Leaked()
-				if len(comps) == 0 {
+				if ev.Leak == nil {
 					continue
 				}
-				if err := recordLeak(ctx, corpus, &ev, comps, opts.NoMinimize, sum, logf); err != nil {
+				if err := recordLeak(ctx, corpus, ev.Leak, opts.NoMinimize, sum, logf); err != nil {
 					return nil, err
 				}
 			}
@@ -213,55 +242,44 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 	return sum, nil
 }
 
-// recordLeak folds one leaking pair evaluation into the corpus: drop it if
-// its behavioural signature is already represented, otherwise minimize the
+// recordLeak folds one leaking pair into the corpus: drop it if its
+// behavioural signature is already represented, otherwise minimize the
 // reproducer and store it (unless a checksum-identical reproducer arrived
 // through another path first).
-func recordLeak(ctx context.Context, corpus *Corpus, ev *PairEval, comps []string,
+func recordLeak(ctx context.Context, corpus *Corpus, leak *leakcheck.Leak,
 	noMinimize bool, sum *Summary, logf func(string, ...any)) error {
-	clauses := leakingClauses(ev)
-	sig := LeakSig(ev.Config, ev.Params.Kind, comps, clauses)
+	var clauses []string
+	for _, c := range leak.LeakingClauses() {
+		clauses = append(clauses, c.String())
+	}
+	sig := LeakSig(leak.Config, leak.Params.Kind, leak.Components, clauses)
 	if corpus.HasLeakSig(sig) {
 		sum.DupLeaks++
 		return nil
 	}
-	params := ev.Params
+	params := leak.Params
 	if !noMinimize {
-		leak := leakcheck.Leak{
-			Params: ev.Params, Config: ev.Config, Components: comps,
-			ObsA: ev.ObsA, ObsB: ev.ObsB,
-		}
-		min, err := leakcheck.Minimize(ctx, leak)
+		min, err := leakcheck.Minimize(ctx, *leak)
 		if err != nil {
-			return fmt.Errorf("campaign: minimizing %s: %w", ev.Params, err)
+			return fmt.Errorf("campaign: minimizing %s: %w", leak.Params, err)
 		}
 		params = min
 	}
 	added, err := corpus.AddLeak(LeakRecord{
-		Params: params.Normalize(), Config: ev.Config,
-		Components: comps, Clauses: clauses,
-		Sig: sig, Key: LeakKey(params, ev.Config),
+		Params: params.Normalize(), Config: leak.Config,
+		Components: leak.Components, Clauses: clauses,
+		Sig: sig, Key: LeakKey(params, leak.Config),
 	})
 	if err != nil {
 		return err
 	}
 	if added {
 		sum.NewLeaks++
-		logf("campaign: new leak under %s via %v (%s)", ev.Config, comps, params)
+		logf("campaign: new leak under %s via %v (%s)", leak.Config, leak.Components, params)
 	} else {
 		sum.DupLeaks++
 	}
 	return nil
-}
-
-func leakingClauses(ev *PairEval) []string {
-	var out []string
-	for _, cl := range sim.Lattice() {
-		if len(ev.ObsA.Diff(&ev.ObsB, cl)) > 0 {
-			out = append(out, cl.String())
-		}
-	}
-	return out
 }
 
 func uniqCells(cells []uint64) []uint64 {

@@ -426,3 +426,22 @@ func TestCampaignDeterministic(t *testing.T) {
 		t.Error("same seed produced different leak sets")
 	}
 }
+
+// TestCampaignRefusesWarmConfigs pins that a warm-started config is
+// refused before anything runs or is written: engine jobs evaluate genomes
+// cold, but Minimize would replay a leak through the checkpoint path, so a
+// leak would be found and minimised on two different programs.
+func TestCampaignRefusesWarmConfigs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.dgcf")
+	sum, err := Run(context.Background(), Options{
+		Configs:    []leakcheck.Config{{Scheme: secure.Unsafe}, {Scheme: secure.DoM, WarmupInsts: 1}},
+		Budget:     4,
+		CorpusPath: path,
+	})
+	if err == nil || sum != nil {
+		t.Fatalf("warm config: sum = %v, err = %v; want a refusal", sum, err)
+	}
+	if _, statErr := os.Stat(path); !errors.Is(statErr, os.ErrNotExist) {
+		t.Errorf("refused campaign left a corpus file (stat: %v)", statErr)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -88,11 +89,10 @@ type PairEval struct {
 	ResB   sim.Result
 	ObsA   sim.Observation
 	ObsB   sim.Observation
+	// Leak is leakcheck.PairLeak's verdict on ObsA and ObsB; nil when the
+	// pair is indistinguishable.
+	Leak *leakcheck.Leak
 }
-
-// Leaked reports whether the pair is distinguishable, and via which digest
-// components.
-func (e *PairEval) Leaked() []string { return e.ObsA.DiffAll(&e.ObsB) }
 
 // Cells maps the evaluation onto coverage cells:
 //
@@ -142,11 +142,13 @@ func (e *PairEval) Cells() []uint64 {
 
 	// Which digest components the pair diverges in, individually and as a
 	// combination: each distinct divergence shape is its own discovery.
-	if comps := e.Leaked(); len(comps) > 0 {
-		for _, c := range comps {
+	var leaked []sim.Clause
+	if e.Leak != nil {
+		for _, c := range e.Leak.Components {
 			out = append(out, cell("leak-"+c, cfg))
 		}
-		out = append(out, cell("leak-shape:"+strings.Join(comps, ","), cfg))
+		out = append(out, cell("leak-shape:"+strings.Join(e.Leak.Components, ","), cfg))
+		leaked = e.Leak.LeakingClauses()
 	}
 
 	// Occupied cache sets, one cell per (level, set-bit).
@@ -179,11 +181,11 @@ func (e *PairEval) Cells() []uint64 {
 
 	// Per-clause contract outcome of the pair under this config.
 	for _, cl := range sim.Lattice() {
-		leaked := uint64(0)
-		if len(e.ObsA.Diff(&e.ObsB, cl)) > 0 {
-			leaked = 1
+		var v uint64
+		if slices.Contains(leaked, cl) {
+			v = 1
 		}
-		out = append(out, cell("clause-"+cl.String(), cfg, leaked))
+		out = append(out, cell("clause-"+cl.String(), cfg, v))
 	}
 	return out
 }

@@ -134,7 +134,7 @@ const keyChunk = 32 << 10
 // deterministic in Go (declaration order), which makes it a convenient
 // canonical encoding.
 func fingerprintConfig(w io.Writer, cfg sim.Config) {
-	eff := resolveCore(cfg)
+	eff := cfg.ResolvedCore()
 	enc, err := json.Marshal(eff)
 	if err != nil {
 		// Config structs are plain exported data; this cannot fail.
@@ -142,19 +142,4 @@ func fingerprintConfig(w io.Writer, cfg sim.Config) {
 	}
 	fmt.Fprintf(w, "|cfg|insts=%d|cycles=%d|", cfg.MaxInsts, cfg.MaxCycles)
 	w.Write(enc)
-}
-
-// resolveCore returns the effective core configuration for a run: the
-// explicit override or the paper default, with the top-level scheme and
-// address-prediction selections applied (mirroring sim.NewCore).
-func resolveCore(cfg sim.Config) sim.CoreConfig {
-	var eff sim.CoreConfig
-	if cfg.Core != nil {
-		eff = *cfg.Core
-	} else {
-		eff = sim.DefaultCoreConfig()
-	}
-	eff.Scheme = cfg.Scheme
-	eff.AddressPrediction = cfg.AddressPrediction
-	return eff
 }

@@ -45,10 +45,12 @@ var Experiments = []Experiment{
 }
 
 // Run executes the rows on one workload as a single engine batch. Options
-// apply as to the matrix, except Workloads and WarmupInsts (most rows change
-// the core a warmup checkpoint would be taken on).
+// apply as to the matrix, except Workloads, and WarmupInsts, which Run
+// refuses: most rows change the core a warmup checkpoint would be taken on.
 func (e Experiment) Run(workloadName string, opts Options) ([]Row, error) {
-	opts.WarmupInsts = 0
+	if opts.WarmupInsts > 0 {
+		return nil, fmt.Errorf("harness: %s runs cold; warm start (WarmupInsts=%d) is not supported", e.Name, opts.WarmupInsts)
+	}
 	progs, refSums, _, err := prepare(opts, []string{workloadName})
 	if err != nil {
 		return nil, err

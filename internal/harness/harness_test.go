@@ -205,6 +205,12 @@ func TestExtensionsAndSensitivityArtifacts(t *testing.T) {
 	if _, err := ports.Run("nope", Options{Scale: workload.ScaleTest}); err == nil {
 		t.Error("unknown workload should fail")
 	}
+	// Rows change the core a warmup checkpoint would be taken on, so a
+	// warm start is refused, not silently run cold.
+	if _, err := ports.Run("stream", Options{Scale: workload.ScaleTest, WarmupInsts: 100}); err == nil ||
+		!strings.Contains(err.Error(), "warm start") {
+		t.Errorf("warm experiment: err = %v, want a warm-start refusal", err)
+	}
 
 	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()

@@ -4,9 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"doppelganger/sim"
 )
@@ -21,8 +20,8 @@ type ClauseCell struct {
 	Leaks int
 	// FirstSeed is the smallest leaking seed (valid when Leaks > 0).
 	FirstSeed int64
-	// Components is the union of differing component names over all
-	// leaking seeds, in reporting order.
+	// Components is the sorted union of differing component names over
+	// all leaking seeds.
 	Components []string
 }
 
@@ -85,110 +84,40 @@ func (r ContractResult) Strongest() []sim.Clause {
 }
 
 // ContractSweep evaluates the full contract lattice for every config over
-// seeds [firstSeed, firstSeed+seeds), running up to workers differential
-// pairs concurrently, each worker on one sim.Runner. For each config it reports, per clause, how many
-// seeds were distinguishable to that observer — the per-scheme contract
-// matrix. A non-nil error aborts the sweep.
+// seeds [firstSeed, firstSeed+seeds): for each config it reports, per
+// clause, how many seeds were distinguishable to that observer — the
+// per-scheme contract matrix. It is a fold of Sweep's leaks: a pair's
+// observations cover ct-spec, which sees every component, so a pair
+// distinguishable under any clause is already one of Sweep's leaks, and
+// its LeakingClauses are the cells it counts in. A non-nil error aborts
+// the sweep.
 func ContractSweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers int) ([]ContractResult, error) {
-	if workers < 1 {
-		workers = 1
+	sweeps, err := Sweep(ctx, cfgs, firstSeed, seeds, workers)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]ContractResult, len(cfgs))
-	for i, cfg := range cfgs {
-		results[i] = ContractResult{Config: cfg, Seeds: seeds}
+	results := make([]ContractResult, len(sweeps))
+	for i, sw := range sweeps {
+		r := ContractResult{Config: sw.Config, Seeds: sw.Seeds}
 		for _, c := range sim.Lattice() {
-			results[i].Cells = append(results[i].Cells, ClauseCell{Clause: c})
+			r.Cells = append(r.Cells, ClauseCell{Clause: c})
 		}
-	}
-
-	type job struct {
-		cfg  int
-		seed int64
-	}
-	type hit struct {
-		cfg        int
-		seed       int64
-		clause     sim.Clause
-		components []string
-	}
-	jobs := make(chan job)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		hits     []hit
-	)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var r sim.Runner
-			for j := range jobs {
-				p := Generate(j.seed).Normalize()
-				oa, err := observationOf(cctx, &r, p, cfgs[j.cfg], p.SecretA)
-				var ob sim.Observation
-				if err == nil {
-					ob, err = observationOf(cctx, &r, p, cfgs[j.cfg], p.SecretB)
+		for _, sl := range sw.Leaks { // sorted by seed
+			l := &sl.Leak
+			for _, c := range l.LeakingClauses() {
+				cc := r.cell(c)
+				if cc.Leaks == 0 {
+					cc.FirstSeed = sl.Seed
 				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-						cancel()
-					}
-				} else {
-					for _, c := range sim.Lattice() {
-						if diff := oa.Diff(&ob, c); len(diff) > 0 {
-							hits = append(hits, hit{cfg: j.cfg, seed: j.seed, clause: c, components: diff})
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for ci := range cfgs {
-		for s := int64(0); s < int64(seeds); s++ {
-			select {
-			case jobs <- job{cfg: ci, seed: firstSeed + s}:
-			case <-cctx.Done():
-				break feed
+				cc.Leaks++
+				cc.Components = append(cc.Components, l.ObsA.Diff(&l.ObsB, c)...)
 			}
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	sort.Slice(hits, func(a, b int) bool { return hits[a].seed < hits[b].seed })
-	for _, h := range hits {
-		cc := results[h.cfg].cell(h.clause)
-		if cc.Leaks == 0 {
-			cc.FirstSeed = h.seed
+		for j := range r.Cells {
+			slices.Sort(r.Cells[j].Components)
+			r.Cells[j].Components = slices.Compact(r.Cells[j].Components)
 		}
-		cc.Leaks++
-		for _, name := range h.components {
-			found := false
-			for _, have := range cc.Components {
-				if have == name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				cc.Components = append(cc.Components, name)
-			}
-		}
-	}
-	for i := range results {
-		for j := range results[i].Cells {
-			sort.Strings(results[i].Cells[j].Components)
-		}
+		results[i] = r
 	}
 	return results, nil
 }

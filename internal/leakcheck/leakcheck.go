@@ -133,10 +133,19 @@ func check(ctx context.Context, r *sim.Runner, p Params, cfg Config) (*Leak, err
 	if err != nil {
 		return nil, err
 	}
+	return PairLeak(p, cfg, oa, ob), nil
+}
+
+// PairLeak is the leak verdict on a differential pair's two observations:
+// nil when they agree under the strongest observed clause, otherwise the
+// Leak naming every differing component. Its LeakingClauses are the
+// contract clauses the pair violates. Check, Sweep, ContractSweep and the
+// campaign's engine-run pairs all judge through it.
+func PairLeak(p Params, cfg Config, oa, ob sim.Observation) *Leak {
 	if diff := oa.DiffAll(&ob); len(diff) > 0 {
-		return &Leak{Params: p, Config: cfg, Components: diff, ObsA: oa, ObsB: ob}, nil
+		return &Leak{Params: p, Config: cfg, Components: diff, ObsA: oa, ObsB: ob}
 	}
-	return nil, nil
+	return nil
 }
 
 // SimConfig lowers the scheme-matrix cell to a full simulator config for

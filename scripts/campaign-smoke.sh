@@ -2,9 +2,10 @@
 # Campaign end-to-end smoke: run a small coverage-guided leakcheck campaign
 # with a persistent corpus, restart it against the same corpus and assert
 # the second run resumes (replays inputs instead of re-simulating, dedups
-# known reproducers), then assert the corpus file format's refusal
-# discipline: a corrupted record and a wrong-version header must both be
-# rejected, not silently re-explored. Used by `make campaign-smoke` and CI.
+# known reproducers), then assert the refusals: a corrupted record and a
+# wrong-version header must both be rejected, not silently re-explored, and
+# a warm-started campaign (-warmup) must exit 2 without writing a corpus.
+# Used by `make campaign-smoke` and CI.
 #
 # CAMPAIGN_SMOKE_BUDGET overrides the first run's evaluation budget.
 set -euo pipefail
@@ -103,5 +104,20 @@ case "$ERR" in
     exit 1
     ;;
 esac
+
+echo "campaign-smoke: warm-started campaign must be refused"
+set +e
+ERR="$("$BIN" -campaign -warmup 1 -budget 4 -schemes unsafe -ap off \
+    -corpus "$DIR/warm.dgcf" 2>&1)"
+STATUS=$?
+set -e
+if [ "$STATUS" -ne 2 ]; then
+    echo "campaign-smoke: -warmup campaign exited $STATUS, want 2: $ERR" >&2
+    exit 1
+fi
+if [ -e "$DIR/warm.dgcf" ]; then
+    echo "campaign-smoke: refused -warmup campaign wrote a corpus file" >&2
+    exit 1
+fi
 
 echo "campaign-smoke: OK"

@@ -26,15 +26,17 @@ func ReadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.ReadFi
 // DecodeCheckpoint parses and verifies an encoded checkpoint.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return checkpoint.Decode(data) }
 
-// resolvedCoreConfig materialises the full core configuration a Config
-// describes (the same resolution NewCore applies).
-func resolvedCoreConfig(cfg Config) CoreConfig {
-	cc := cfg.Core
-	if cc == nil {
-		d := pipeline.DefaultConfig()
-		cc = &d
+// ResolvedCore materialises the full core configuration the Config
+// describes: the explicit Core override or the paper default, with the
+// top-level Scheme and AddressPrediction applied. Every core is built from
+// it, and the engine keys runs on it.
+func (cfg Config) ResolvedCore() CoreConfig {
+	var core CoreConfig
+	if cfg.Core != nil {
+		core = *cfg.Core
+	} else {
+		core = DefaultCoreConfig()
 	}
-	core := *cc
 	core.Scheme = cfg.Scheme
 	core.AddressPrediction = cfg.AddressPrediction
 	return core
@@ -87,7 +89,7 @@ func (r *Runner) Snapshot(p *Program, cfg Config, warmupInsts uint64) (*Checkpoi
 		WarmScheme:   cfg.Scheme.String(),
 		WarmAP:       cfg.AddressPrediction,
 		WarmupInsts:  warmupInsts,
-		WarmConfig:   resolvedCoreConfig(cfg),
+		WarmConfig:   cfg.ResolvedCore(),
 	}
 	return checkpoint.New(meta, st)
 }
@@ -104,7 +106,7 @@ func NewCoreFromCheckpoint(p *Program, cfg Config, ck *Checkpoint) (*Core, *Prog
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := pipeline.NewFromState(resolvedCoreConfig(cfg), p, ck.State())
+	c, err := pipeline.NewFromState(cfg.ResolvedCore(), p, ck.State())
 	if err != nil {
 		return nil, nil, err
 	}

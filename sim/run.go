@@ -99,7 +99,7 @@ type Runner struct {
 // when its configuration is cfg's, and otherwise a fresh core that the
 // Runner keeps from then on.
 func (r *Runner) coreFor(p *Program, cfg Config, st *pipeline.CoreState) (*Core, error) {
-	cc := resolvedCoreConfig(cfg)
+	cc := cfg.ResolvedCore()
 	if r.core != nil && r.core.Config() == cc {
 		var err error
 		if st == nil {

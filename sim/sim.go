@@ -175,7 +175,7 @@ type Result struct {
 // NewCore builds a fresh core for the program under the given
 // configuration without running it.
 func NewCore(p *Program, cfg Config) (*Core, error) {
-	return pipeline.New(resolvedCoreConfig(cfg), p)
+	return pipeline.New(cfg.ResolvedCore(), p)
 }
 
 // Run simulates the program to completion under the configuration and
