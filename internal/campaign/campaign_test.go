@@ -445,3 +445,24 @@ func TestCampaignRefusesWarmConfigs(t *testing.T) {
 		t.Errorf("refused campaign left a corpus file (stat: %v)", statErr)
 	}
 }
+
+// TestSummaryFailures pins the campaign's expectation text: a leak fails
+// only under a config that defends the gadget's kind.
+func TestSummaryFailures(t *testing.T) {
+	bounds, bypass := leakcheck.Generate(0), leakcheck.Generate(0)
+	bounds.Kind, bypass.Kind = leakcheck.KindBoundsCheck, leakcheck.KindStoreBypass
+	sum := Summary{Leaks: []LeakRecord{
+		{Params: bounds, Config: leakcheck.Config{}, Components: []string{"L1"}},
+		{Params: bypass, Config: leakcheck.Config{Scheme: secure.STTSpectre}, Components: []string{"L1"}},
+		{Params: bounds, Config: leakcheck.Config{Scheme: secure.DoM, Mutation: secure.MutDoMIssueMiss}, Components: []string{"L1"}},
+	}}
+	if got := sum.Failures(); len(got) != 0 {
+		t.Errorf("Failures() = %q, want none: unsafe, out-of-model and mutated leaks are expected", got)
+	}
+	sum.Leaks = append(sum.Leaks, LeakRecord{Params: bounds, Config: leakcheck.Config{Scheme: secure.DoM, AP: true},
+		Components: []string{"L1", "traffic"}})
+	want := []string{"SECURITY: dom+ap leaks via L1,traffic (" + bounds.String() + ")"}
+	if got := sum.Failures(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Failures() = %q, want %q", got, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"doppelganger/api"
 	"doppelganger/sim"
 )
 
@@ -86,11 +87,8 @@ func (r ContractResult) Strongest() []sim.Clause {
 // ContractSweep evaluates the full contract lattice for every config over
 // seeds [firstSeed, firstSeed+seeds): for each config it reports, per
 // clause, how many seeds were distinguishable to that observer — the
-// per-scheme contract matrix. It is a fold of Sweep's leaks: a pair's
-// observations cover ct-spec, which sees every component, so a pair
-// distinguishable under any clause is already one of Sweep's leaks, and
-// its LeakingClauses are the cells it counts in. A non-nil error aborts
-// the sweep.
+// per-scheme contract matrix. It is ContractOf over Sweep's results. A
+// non-nil error aborts the sweep.
 func ContractSweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers int) ([]ContractResult, error) {
 	sweeps, err := Sweep(ctx, cfgs, firstSeed, seeds, workers)
 	if err != nil {
@@ -98,28 +96,74 @@ func ContractSweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, w
 	}
 	results := make([]ContractResult, len(sweeps))
 	for i, sw := range sweeps {
-		r := ContractResult{Config: sw.Config, Seeds: sw.Seeds}
-		for _, c := range sim.Lattice() {
-			r.Cells = append(r.Cells, ClauseCell{Clause: c})
-		}
-		for _, sl := range sw.Leaks { // sorted by seed
-			l := &sl.Leak
-			for _, c := range l.LeakingClauses() {
-				cc := r.cell(c)
-				if cc.Leaks == 0 {
-					cc.FirstSeed = sl.Seed
-				}
-				cc.Leaks++
-				cc.Components = append(cc.Components, l.ObsA.Diff(&l.ObsB, c)...)
-			}
-		}
-		for j := range r.Cells {
-			slices.Sort(r.Cells[j].Components)
-			r.Cells[j].Components = slices.Compact(r.Cells[j].Components)
-		}
-		results[i] = r
+		results[i] = ContractOf(sw)
 	}
 	return results, nil
+}
+
+// ContractOf folds one config's sweep into its contract-lattice
+// evaluation. The fold is exact: a pair's observations cover ct-spec,
+// which sees every component, so a pair distinguishable under any clause
+// is already one of the sweep's leaks, and its LeakingClauses are the
+// cells it counts in.
+func ContractOf(sw SweepResult) ContractResult {
+	r := ContractResult{Config: sw.Config, Seeds: sw.Seeds}
+	for _, c := range sim.Lattice() {
+		r.Cells = append(r.Cells, ClauseCell{Clause: c})
+	}
+	for _, sl := range sw.Leaks { // sorted by seed
+		l := &sl.Leak
+		for _, c := range l.LeakingClauses() {
+			cc := r.cell(c)
+			if cc.Leaks == 0 {
+				cc.FirstSeed = sl.Seed
+			}
+			cc.Leaks++
+			cc.Components = append(cc.Components, l.ObsA.Diff(&l.ObsB, c)...)
+		}
+	}
+	for j := range r.Cells {
+		slices.Sort(r.Cells[j].Components)
+		r.Cells[j].Components = slices.Compact(r.Cells[j].Components)
+	}
+	return r
+}
+
+// Row renders the result as one contract-matrix row: per clause its
+// verdict ("satisfied" or "leaked"), leak count, first leaking seed and
+// components, plus the strongest satisfied clauses. It is the one
+// rendering of a contract result: doppeld's /v1/leakcheck, the leakcheck
+// CLI and MatrixOf all build theirs from it.
+func (r ContractResult) Row() api.ContractRow {
+	row := api.ContractRow{Config: r.Config.String()}
+	for _, c := range r.Cells {
+		cell := api.ContractCell{Clause: c.Clause.String(), Verdict: "satisfied", Leaks: c.Leaks, Components: c.Components}
+		if !c.Satisfied() {
+			cell.Verdict = "leaked"
+			cell.FirstSeed = c.FirstSeed
+		}
+		row.Cells = append(row.Cells, cell)
+	}
+	for _, c := range r.Strongest() {
+		row.Strongest = append(row.Strongest, c.String())
+	}
+	return row
+}
+
+// Verdict classifies the result against the expectations that hold
+// whatever the golden says: a secure config upholds at least the weakest
+// contract, and the unsafe baseline is distinguishable somewhere or the
+// oracle is vacuous. It returns a non-empty failure description, or "" if
+// as expected.
+func (r ContractResult) Verdict() string {
+	switch {
+	case r.Config.Secure() && !r.Satisfies(sim.ArchSeq):
+		return fmt.Sprintf("SECURITY: %s leaks under arch-seq (architectural leak)", r.Config)
+	case !r.Config.Secure() && r.Satisfies(sim.CTSpec):
+		return fmt.Sprintf("VACUOUS: %s satisfies ct-spec on %d seeds — the oracle saw nothing", r.Config, r.Seeds)
+	default:
+		return ""
+	}
 }
 
 // MatrixEntry is one config row of the serialized contract matrix:
@@ -144,16 +188,10 @@ type ContractMatrix struct {
 func MatrixOf(results []ContractResult) ContractMatrix {
 	var m ContractMatrix
 	for _, r := range results {
-		e := MatrixEntry{Config: r.Config.String(), Clauses: map[string]string{}}
-		for _, c := range r.Cells {
-			v := "satisfied"
-			if !c.Satisfied() {
-				v = "leaked"
-			}
-			e.Clauses[c.Clause.String()] = v
-		}
-		for _, c := range r.Strongest() {
-			e.Strongest = append(e.Strongest, c.String())
+		row := r.Row()
+		e := MatrixEntry{Config: row.Config, Clauses: map[string]string{}, Strongest: row.Strongest}
+		for _, c := range row.Cells {
+			e.Clauses[c.Clause] = c.Verdict
 		}
 		m.Entries = append(m.Entries, e)
 	}

@@ -310,6 +310,21 @@ type MutationOutcome struct {
 	Downgrades []sim.Clause
 }
 
+// Verdict classifies the outcome against the expectation that every
+// planted weakening is caught and demotes at least one contract cell. It
+// returns a non-empty failure description, or "" if as expected.
+func (o MutationOutcome) Verdict() string {
+	switch {
+	case !o.Detected:
+		return fmt.Sprintf("BLIND: planted mutation %s under %s not detected in %d seeds",
+			o.Mutation, o.Config, o.SeedsTried)
+	case len(o.Downgrades) == 0:
+		return fmt.Sprintf("NO DOWNGRADE: mutation %s caught but no contract cell leaked", o.Mutation)
+	default:
+		return ""
+	}
+}
+
 // GauntletParams is the gadget stream the mutation gauntlet hunts with:
 // Generate's frozen stream, plus a per-target bias the stream itself cannot
 // express. Weakenings of an undo scheme (Cleanup) only become observable
