@@ -60,6 +60,6 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := sum.Response(s.newID("campaign"), budget, req.Seed)
-	s.store(resp.ID, resp)
+	s.results.put(resp.ID, resp)
 	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -68,8 +68,8 @@ func (s *server) handleCheckpointImport(w http.ResponseWriter, r *http.Request) 
 // suitable for doppelsim -checkpoint-in or re-import on another server.
 func (s *server) handleCheckpointExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ck := s.checkpoint(id)
-	if ck == nil {
+	ck, ok := s.ckpts.get(id)
+	if !ok {
 		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("no stored checkpoint %q", id))
 		return
 	}
@@ -78,25 +78,11 @@ func (s *server) handleCheckpointExport(w http.ResponseWriter, r *http.Request) 
 	w.Write(ck.Encode())
 }
 
-// checkpoint looks up a stored checkpoint by ID (nil if absent or evicted).
-func (s *server) checkpoint(id string) *sim.Checkpoint {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	return s.ckpts[id]
-}
-
 // storeCheckpoint retains a checkpoint under a fresh ID, evicting the
 // oldest beyond the cap, and describes it.
 func (s *server) storeCheckpoint(ck *sim.Checkpoint) api.CheckpointResponse {
 	id := s.newID("ckpt")
-	s.ckptMu.Lock()
-	s.ckpts[id] = ck
-	s.ckptOrder = append(s.ckptOrder, id)
-	for len(s.ckptOrder) > maxStoredCheckpoints {
-		delete(s.ckpts, s.ckptOrder[0])
-		s.ckptOrder = s.ckptOrder[1:]
-	}
-	s.ckptMu.Unlock()
+	s.ckpts.put(id, ck)
 	meta := ck.Meta()
 	st := ck.State()
 	return api.CheckpointResponse{

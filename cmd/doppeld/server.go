@@ -38,13 +38,8 @@ type server struct {
 	runs   atomic.Uint64
 	sweeps atomic.Uint64
 
-	mu      sync.Mutex
-	results map[string]any
-	order   []string // insertion order, for FIFO eviction
-
-	ckptMu    sync.Mutex
-	ckpts     map[string]*sim.Checkpoint
-	ckptOrder []string // insertion order, for FIFO eviction
+	results *fifo[any]
+	ckpts   *fifo[*sim.Checkpoint]
 }
 
 // newServer wraps an engine and an optional metrics registry (nil disables
@@ -58,8 +53,8 @@ func newServer(eng *engine.Engine, met *sim.Metrics) *server {
 		eng:     eng,
 		met:     met,
 		start:   time.Now(),
-		results: make(map[string]any),
-		ckpts:   make(map[string]*sim.Checkpoint),
+		results: newFIFO[any](maxStoredResults),
+		ckpts:   newFIFO[*sim.Checkpoint](maxStoredCheckpoints),
 	}
 }
 
@@ -94,7 +89,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	scaleName := cmp.Or(req.Scale, workload.ScaleFull.String())
 	var ck *sim.Checkpoint
 	if req.Checkpoint != "" {
-		if ck = s.checkpoint(req.Checkpoint); ck == nil {
+		var ok bool
+		if ck, ok = s.ckpts.get(req.Checkpoint); !ok {
 			api.WriteError(w, http.StatusNotFound, fmt.Sprintf("no stored checkpoint %q", req.Checkpoint))
 			return
 		}
@@ -165,7 +161,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Events = ring.Events()
 		resp.EventsDropped = ring.Dropped()
 	}
-	s.store(resp.ID, resp)
+	s.results.put(resp.ID, resp)
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -210,15 +206,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweeps.Add(1)
 	resp := api.SweepResponse{Schema: api.SchemaVersion, ID: s.newID("sweep"),
 		Scale: cmp.Or(req.Scale, workload.ScaleFull.String()), Cells: cells}
-	s.store(resp.ID, resp)
+	s.results.put(resp.ID, resp)
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	resp, ok := s.results[id]
-	s.mu.Unlock()
+	resp, ok := s.results.get(id)
 	if !ok {
 		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("no stored result %q", id))
 		return
@@ -234,20 +228,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	stored := len(s.results)
-	s.mu.Unlock()
-	s.ckptMu.Lock()
-	ckpts := len(s.ckpts)
-	s.ckptMu.Unlock()
 	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"engine": s.eng.Stats(),
 		"server": map[string]any{
 			"uptime_ms":          time.Since(s.start).Milliseconds(),
 			"runs":               s.runs.Load(),
 			"sweeps":             s.sweeps.Load(),
-			"results_stored":     stored,
-			"checkpoints_stored": ckpts,
+			"results_stored":     s.results.len(),
+			"checkpoints_stored": s.ckpts.len(),
 		},
 	})
 }
@@ -257,15 +245,41 @@ func (s *server) newID(kind string) string {
 	return fmt.Sprintf("%s-%d", kind, s.nextID.Add(1))
 }
 
-// store retains a response for GET /v1/results/{id}, evicting the oldest
-// beyond the cap.
-func (s *server) store(id string, resp any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.results[id] = resp
-	s.order = append(s.order, id)
-	for len(s.order) > maxStoredResults {
-		delete(s.results, s.order[0])
-		s.order = s.order[1:]
+// fifo is a mutex-guarded map that evicts its oldest entries beyond a
+// cap: doppeld's in-memory stores of results and checkpoints.
+type fifo[V any] struct {
+	mu    sync.Mutex
+	max   int
+	items map[string]V
+	order []string // insertion order, for eviction
+}
+
+func newFIFO[V any](max int) *fifo[V] {
+	return &fifo[V]{max: max, items: make(map[string]V)}
+}
+
+// put stores v under id, evicting the oldest entries beyond the cap.
+func (f *fifo[V]) put(id string, v V) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.items[id] = v
+	f.order = append(f.order, id)
+	for len(f.order) > f.max {
+		delete(f.items, f.order[0])
+		f.order = f.order[1:]
 	}
+}
+
+// get looks up id; ok is false when it was never stored or was evicted.
+func (f *fifo[V]) get(id string) (v V, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v, ok = f.items[id]
+	return v, ok
+}
+
+func (f *fifo[V]) len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.items)
 }

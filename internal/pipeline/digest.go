@@ -60,38 +60,3 @@ func (c *Core) MicroDigest() MicroDigest {
 	}
 	return d
 }
-
-// digestComponents pairs each component with its name, in reporting order.
-func (d MicroDigest) components() [9]struct {
-	Name string
-	V    uint64
-} {
-	return [9]struct {
-		Name string
-		V    uint64
-	}{
-		{"cycles", d.Cycles},
-		{"L1", d.L1},
-		{"L2", d.L2},
-		{"L3", d.L3},
-		{"mshr-timeline", d.MSHR},
-		{"traffic", d.Traffic},
-		{"stride-predictor", d.Stride},
-		{"context-predictor", d.Context},
-		{"branch-predictor", d.Branch},
-	}
-}
-
-// Diff returns the names of the components in which the two digests
-// disagree, in reporting order; an empty slice means the runs are
-// indistinguishable under this oracle.
-func (d MicroDigest) Diff(o MicroDigest) []string {
-	var out []string
-	a, b := d.components(), o.components()
-	for i := range a {
-		if a[i].V != b[i].V {
-			out = append(out, a[i].Name)
-		}
-	}
-	return out
-}

@@ -124,10 +124,12 @@ func (c Clause) valid() bool {
 	return c.Observer <= ObsCT && c.Exec <= ExecSpec
 }
 
-// component ties one observable digest to the weakest clause that sees it.
+// component ties one observable digest to the weakest clause that sees it
+// and to its field of an Observation.
 type component struct {
 	name   string
 	clause Clause
+	value  func(*Observation) uint64
 }
 
 // components lists every observable, grouped by owning clause. A clause
@@ -135,20 +137,20 @@ type component struct {
 // sees all of them, and its nine µarch components are exactly the legacy
 // MicroDigest.
 var components = []component{
-	{"arch-public", ArchSeq},
-	{"ctrl-trace-commit", PCSeq},
-	{"branch-predictor", PCSeq},
-	{"ctrl-trace-spec", PCSpec},
-	{"addr-trace-commit", CTSeq},
-	{"stride-predictor", CTSeq},
-	{"context-predictor", CTSeq},
-	{"cycles", CTSpec},
-	{"L1", CTSpec},
-	{"L2", CTSpec},
-	{"L3", CTSpec},
-	{"mshr-timeline", CTSpec},
-	{"traffic", CTSpec},
-	{"addr-trace-spec", CTSpec},
+	{"arch-public", ArchSeq, func(o *Observation) uint64 { return o.PubArch }},
+	{"ctrl-trace-commit", PCSeq, func(o *Observation) uint64 { return o.CtrlSeq }},
+	{"branch-predictor", PCSeq, func(o *Observation) uint64 { return o.Micro.Branch }},
+	{"ctrl-trace-spec", PCSpec, func(o *Observation) uint64 { return o.CtrlSpec }},
+	{"addr-trace-commit", CTSeq, func(o *Observation) uint64 { return o.AddrSeq }},
+	{"stride-predictor", CTSeq, func(o *Observation) uint64 { return o.Micro.Stride }},
+	{"context-predictor", CTSeq, func(o *Observation) uint64 { return o.Micro.Context }},
+	{"cycles", CTSpec, func(o *Observation) uint64 { return o.Micro.Cycles }},
+	{"L1", CTSpec, func(o *Observation) uint64 { return o.Micro.L1 }},
+	{"L2", CTSpec, func(o *Observation) uint64 { return o.Micro.L2 }},
+	{"L3", CTSpec, func(o *Observation) uint64 { return o.Micro.L3 }},
+	{"mshr-timeline", CTSpec, func(o *Observation) uint64 { return o.Micro.MSHR }},
+	{"traffic", CTSpec, func(o *Observation) uint64 { return o.Micro.Traffic }},
+	{"addr-trace-spec", CTSpec, func(o *Observation) uint64 { return o.AddrSpec }},
 }
 
 // VisibleComponents returns the names of the observables the clause sees,
@@ -234,42 +236,6 @@ func (o *Observation) Observed(c Clause) bool {
 	return false
 }
 
-// value returns the digest of the named component.
-func (o *Observation) value(name string) uint64 {
-	switch name {
-	case "arch-public":
-		return o.PubArch
-	case "ctrl-trace-commit":
-		return o.CtrlSeq
-	case "branch-predictor":
-		return o.Micro.Branch
-	case "ctrl-trace-spec":
-		return o.CtrlSpec
-	case "addr-trace-commit":
-		return o.AddrSeq
-	case "addr-trace-spec":
-		return o.AddrSpec
-	case "stride-predictor":
-		return o.Micro.Stride
-	case "context-predictor":
-		return o.Micro.Context
-	case "cycles":
-		return o.Micro.Cycles
-	case "L1":
-		return o.Micro.L1
-	case "L2":
-		return o.Micro.L2
-	case "L3":
-		return o.Micro.L3
-	case "mshr-timeline":
-		return o.Micro.MSHR
-	case "traffic":
-		return o.Micro.Traffic
-	default:
-		panic(fmt.Sprintf("sim: unknown observation component %q", name))
-	}
-}
-
 // Diff compares two observations under the given clause and returns the
 // names of the visible components in which they differ, in reporting
 // order; empty means the runs are indistinguishable to that observer. It
@@ -282,7 +248,7 @@ func (o *Observation) Diff(p *Observation, c Clause) []string {
 	}
 	var out []string
 	for _, cm := range components {
-		if c.Covers(cm.clause) && o.value(cm.name) != p.value(cm.name) {
+		if c.Covers(cm.clause) && cm.value(o) != cm.value(p) {
 			out = append(out, cm.name)
 		}
 	}
