@@ -112,7 +112,8 @@ figures:
 	$(GO) run ./cmd/figures -scale test
 
 # End-to-end smoke: start doppeld, run one traced simulation through the
-# HTTP API, and assert the Prometheus endpoint exposes simulator metrics.
+# HTTP API, assert the Prometheus endpoint exposes simulator metrics, and
+# check /v1/leakcheck and `leakcheck -contracts -json` emit the same rows.
 smoke:
 	./scripts/smoke.sh
 

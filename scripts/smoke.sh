@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the doppeld service: boot it on a kernel-chosen
-# free port, execute one run through the HTTP API, then assert the /metrics
-# endpoint exposes simulator metric families. Used by `make smoke` and CI.
+# free port, execute one run through the HTTP API, assert the /metrics
+# endpoint exposes simulator metric families, and check that /v1/leakcheck
+# and `leakcheck -contracts -json` render the same contract rows (needs
+# jq). Used by `make smoke` and CI.
 set -euo pipefail
 
 # :0 lets the kernel pick a free port; the bound address is parsed from the
@@ -20,6 +22,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/doppeld
+go build -o "$(dirname "$BIN")/leakcheck" ./cmd/leakcheck
 
 "$BIN" -addr "$REQ_ADDR" >"$LOG" 2>&1 &
 PID=$!
@@ -79,4 +82,17 @@ for family in sim_cycles_total sim_cache_hits_total sim_shadow_lifetime_cycles e
     }
 done
 
-echo "smoke: ok on ${ADDR} (traced run + $(grep -c '^[a-z]' <<<"$METRICS") metric lines)"
+# Both front doors build contract rows through one function: the served
+# matrix must equal the CLI's contract rows for the same sweep.
+SERVED=$(curl -sf -X POST "http://${ADDR}/v1/leakcheck" \
+    -H 'Content-Type: application/json' \
+    -d '{"schemes":["unsafe","dom"],"seeds":4}')
+LOCAL=$("$(dirname "$BIN")/leakcheck" -contracts -json -seeds 4 -schemes unsafe,dom -mutations=false)
+jq -en --argjson served "$SERVED" --argjson local "$LOCAL" \
+    '$served.matrix == $local.contracts and ($served.matrix | length) == 4' >/dev/null || {
+    echo "smoke: /v1/leakcheck matrix differs from leakcheck -contracts -json rows" >&2
+    jq -n --argjson served "$SERVED" --argjson local "$LOCAL" '{served: $served.matrix, local: $local.contracts}' >&2
+    exit 1
+}
+
+echo "smoke: ok on ${ADDR} (traced run + $(grep -c '^[a-z]' <<<"$METRICS") metric lines + contract rows)"
