@@ -49,8 +49,8 @@ cover:
 		{ echo "coverage gate: FAIL: $$total% < $(COVER_MIN)%"; exit 1; }
 
 # Packages whose benchmarks the regression gate runs: the simulator's run
-# paths and the engine's job key.
-BENCH_PKGS = ./sim ./internal/engine
+# paths, the engine's job key and the memory hierarchy's access paths.
+BENCH_PKGS = ./sim ./internal/engine ./internal/mem
 
 # Benchmark-regression gate for the simulator hot path. Compares the gated
 # benchmarks (BENCH_PKGS, median of 6 counts) against the committed

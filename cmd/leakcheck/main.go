@@ -46,11 +46,12 @@ import (
 // Envelope schema: version 2 added scheme/ap/tool metadata and the
 // contract-matrix sections. Version 3 is the contract report whose rows
 // are the wire's api.ContractRow (cells gain "verdict", rows drop the
-// "seeds" the report already carries); the classic report's layout is
+// "seeds" the report already carries); version 4 drops its "matrix",
+// which repeated every row's verdicts. The classic report's layout is
 // unchanged, so it stays at 2. Consumers select on schema_version.
 const (
 	schemaVersion         = 2
-	contractSchemaVersion = 3
+	contractSchemaVersion = 4
 	toolVersion           = "0.9.0"
 )
 
@@ -128,16 +129,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(stderr, err)
 		}
 	}
+	var results []leakcheck.ContractResult
 	if *contracts {
 		rep.Schema = contractSchemaVersion
-		results := make([]leakcheck.ContractResult, len(sweeps))
+		results = make([]leakcheck.ContractResult, len(sweeps))
 		for i, sw := range sweeps {
 			results[i] = leakcheck.ContractOf(sw)
 			rep.Contracts = append(rep.Contracts, results[i].Row())
 			rep.fail(results[i].Verdict())
 		}
-		matrix := leakcheck.MatrixOf(results)
-		rep.Matrix = &matrix
 	} else if err := addSweeps(ctx, &rep, sweeps, *minimize, *oneSeed >= 0); err != nil {
 		return fatal(stderr, err)
 	}
@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep.fail(o.Verdict())
 	}
 	if *contracts && *golden != "" {
-		if err := checkGolden(stderr, &rep, *golden, *updateGolden); err != nil {
+		if err := checkGolden(stderr, &rep, leakcheck.MatrixOf(results), *golden, *updateGolden); err != nil {
 			return fatal(stderr, err)
 		}
 	}
@@ -246,11 +246,12 @@ func addSweeps(ctx context.Context, rep *report, sweeps []leakcheck.SweepResult,
 	return nil
 }
 
-// checkGolden diffs the report's contract matrix against the golden file,
-// or writes the matrix there when updating.
-func checkGolden(stderr io.Writer, rep *report, golden string, update bool) error {
+// checkGolden diffs the measured contract matrix against the golden file,
+// recording each difference as a failure of the report, or writes the
+// matrix there when updating.
+func checkGolden(stderr io.Writer, rep *report, matrix leakcheck.ContractMatrix, golden string, update bool) error {
 	if update {
-		data, err := rep.Matrix.MarshalIndent()
+		data, err := matrix.MarshalIndent()
 		if err != nil {
 			return err
 		}
@@ -268,7 +269,7 @@ func checkGolden(stderr io.Writer, rep *report, golden string, update bool) erro
 	if err != nil {
 		return err
 	}
-	for _, d := range rep.Matrix.Diff(want) {
+	for _, d := range matrix.Diff(want) {
 		rep.fail("GOLDEN: " + d)
 	}
 	return nil
@@ -309,12 +310,11 @@ type report struct {
 	FirstSeed int64    `json:"first_seed"`
 	Warmup    uint64   `json:"warmup_insts,omitempty"`
 
-	Sweeps    []sweepReport             `json:"sweeps,omitempty"`
-	Contracts []api.ContractRow         `json:"contracts,omitempty"`
-	Matrix    *leakcheck.ContractMatrix `json:"matrix,omitempty"`
-	Mutations []mutationReport          `json:"mutations,omitempty"`
-	Failures  []string                  `json:"failures,omitempty"`
-	OK        bool                      `json:"ok"`
+	Sweeps    []sweepReport     `json:"sweeps,omitempty"`
+	Contracts []api.ContractRow `json:"contracts,omitempty"`
+	Mutations []mutationReport  `json:"mutations,omitempty"`
+	Failures  []string          `json:"failures,omitempty"`
+	OK        bool              `json:"ok"`
 }
 
 // fail records a non-empty verdict as a failure.

@@ -8,8 +8,8 @@ import (
 )
 
 // worker drains the queue until the engine closes. Each worker owns one
-// sim.Runner, so a job whose core configuration matches the worker's
-// previous job's resets that job's core instead of building a new one.
+// sim.Runner, so a job resets the worker's previous job's core to its own
+// configuration instead of building a new one (sim.Runner).
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	var r sim.Runner

@@ -92,6 +92,14 @@ const chunkShift = 6
 // chunks), and no way is ever copied or allocated twice.
 const firstChunks = 16
 
+// keptChunks bounds the storage of a cache that still counts as a short
+// run's (Outgrown): its first two segments, 16 and 48 chunks, which is
+// the whole default L2 and 2 MB of the default L3. A leakage gadget that
+// fills more than its first segment (about a third of a campaign's runs
+// do) stays under it, while a test- or full-scale kernel fills the
+// default L3 completely and goes past it.
+const keptChunks = 4 * firstChunks
+
 // Cache is one set-associative, LRU-replacement cache level.
 //
 // Storage grows with the sets a run fills. chunks maps each chunk of
@@ -197,9 +205,9 @@ func (c *Cache) Reset() {
 	c.ResetStats()
 }
 
-// Outgrown reports whether the cache's storage grew past its first
-// segment: more than a short run (a leakage gadget) fills.
-func (c *Cache) Outgrown() bool { return c.filled > firstChunks }
+// Outgrown reports whether the cache's storage grew past its second
+// segment (keptChunks): more than a short run (a leakage gadget) fills.
+func (c *Cache) Outgrown() bool { return c.filled > keptChunks }
 
 // way returns the line at journaled coordinates. Its chunk is allocated:
 // records are only made for ways a lookup found or insert filled.

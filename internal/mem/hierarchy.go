@@ -154,8 +154,10 @@ type Hierarchy struct {
 	mshrSig uint64
 
 	// undo is the rollback journal for CleanupSpec-style undo schemes; nil
-	// (the default) disables journaling entirely. See undo.go.
-	undo *undoJournal
+	// (the default) disables journaling entirely. See undo.go. journal is
+	// the journal's storage, kept while it is detached.
+	undo    *undoJournal
+	journal *undoJournal
 
 	// met holds optional live registry instruments; nil when no metrics
 	// registry is attached (the default, and the zero-overhead path).
@@ -247,7 +249,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// Outgrown reports whether any level's storage grew past its first
+// Outgrown reports whether any level's storage grew past its second
 // segment (Cache.Outgrown).
 func (h *Hierarchy) Outgrown() bool {
 	return h.L1D.Outgrown() || h.L2.Outgrown() || h.L3.Outgrown()

@@ -212,20 +212,22 @@ func TestStorageTracksFootprint(t *testing.T) {
 
 // TestResetKeepsStorage: Reset leaves every set unfilled and the cache
 // reading as a fresh one's, keeps the chunks it filled, zeroed, and
-// refills from them without allocating; Outgrown tells a cache still in
-// its first segment from one that grew past it.
+// refills from them without allocating; Outgrown tells a cache within its
+// first two segments from one that grew past them. The cache has 256
+// chunks, as the default L3 does, so it can outgrow them.
 func TestResetKeepsStorage(t *testing.T) {
-	sets := uint64(bigCacheConfig.Sets())
+	cfg := CacheConfig{SizeBytes: 2 << 20, Ways: 2, Latency: 5}
+	sets := uint64(cfg.Sets())
 	fill := func(c *Cache, chunks uint64) {
 		for k := uint64(0); k < chunks; k++ {
 			c.Insert(chunkAddr(sets, k, 0, 1), 1)
 		}
 	}
-	fresh := NewCache(bigCacheConfig).State()
-	c := NewCache(bigCacheConfig)
-	for _, chunks := range []uint64{3, firstChunks + 1} {
+	fresh := NewCache(cfg).State()
+	c := NewCache(cfg)
+	for _, chunks := range []uint64{3, firstChunks + 1, keptChunks, keptChunks + 1} {
 		fill(c, chunks)
-		if got, want := c.Outgrown(), chunks > firstChunks; got != want {
+		if got, want := c.Outgrown(), chunks > keptChunks; got != want {
 			t.Fatalf("%d chunks filled: Outgrown %v, want %v", chunks, got, want)
 		}
 		c.Reset()

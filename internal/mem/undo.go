@@ -310,12 +310,25 @@ func (j *undoJournal) undo(h *Hierarchy, r *undoRec) {
 	}
 }
 
-// EnableUndo attaches a rollback journal to the hierarchy: subsequent
-// accesses carrying a non-zero AccessOptions.UndoSeq journal every side
-// effect for squash-time rollback. Call once, before the first access.
+// EnableUndo attaches the rollback journal to the hierarchy, empty and
+// with opts: subsequent accesses carrying a non-zero
+// AccessOptions.UndoSeq journal every side effect for squash-time
+// rollback. Call it on a quiescent hierarchy (a fresh or just Reset one).
+// The journal is allocated on the first call and keeps its storage from
+// then on, so a hierarchy switched between undo and other runs allocates
+// it once.
 func (h *Hierarchy) EnableUndo(opts UndoOptions) {
-	h.undo = &undoJournal{opts: opts, recs: make([]undoRec, 0, 256)}
+	if h.journal == nil {
+		h.journal = &undoJournal{recs: make([]undoRec, 0, 256)}
+	}
+	h.journal.reset()
+	h.journal.opts = opts
+	h.undo = h.journal
 }
+
+// DisableUndo detaches the rollback journal, as on a fresh hierarchy;
+// the journal keeps its storage for the next EnableUndo.
+func (h *Hierarchy) DisableUndo() { h.undo = nil }
 
 // UndoPending reports the number of live (unretired, un-rolled-back)
 // journal records, counting each instruction's rejection tally as one;

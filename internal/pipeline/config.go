@@ -226,6 +226,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// storage returns the fields of the configuration that size a core's
+// storage, every other field zero: the widths and queue sizes, the memory
+// hierarchy, and the stride and bimodal tables every core has. A core can
+// be Reset to any configuration with equal storage. The optional tables
+// (gshare, context, value, store sets) are not part of it: reset builds
+// each on first need, and again if a configuration sizes it differently.
+func (c Config) storage() Config {
+	return Config{
+		DecodeWidth: c.DecodeWidth,
+		IssueWidth:  c.IssueWidth,
+		CommitWidth: c.CommitWidth,
+		ROBSize:     c.ROBSize,
+		IQSize:      c.IQSize,
+		LQSize:      c.LQSize,
+		SQSize:      c.SQSize,
+		Memory:      c.Memory,
+		Stride:      c.Stride,
+		Branch:      c.Branch,
+	}
+}
+
 // inOrderBranchResolution reports whether branches must resolve in order
 // (only once non-speculative). The paper requires this for DoM enhanced
 // with doppelganger loads (§5.3) to close the implicit channels that

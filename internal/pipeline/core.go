@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"doppelganger/internal/isa"
@@ -22,9 +23,9 @@ type fetched struct {
 
 // Core is the out-of-order processor. New builds one for a program; Reset
 // puts a used core, whatever state its last run left, back into exactly
-// the state New builds for another program under the same configuration,
-// keeping its storage, so one core can serve many short runs in turn. A
-// Core is not safe for concurrent use.
+// the state New builds for another program under any configuration with
+// the same storage, keeping that storage, so one core can serve many short
+// runs in turn. A Core is not safe for concurrent use.
 type Core struct {
 	cfg  Config
 	prog *program.Program
@@ -38,6 +39,15 @@ type Core struct {
 	ctx    *predictor.Context   // non-nil for context/hybrid address prediction
 	vp     *predictor.Value     // non-nil when value prediction is enabled
 	sset   *predictor.StoreSets // non-nil when memory dependence prediction is on
+	// kept holds the optional tables above, each built the first time a
+	// configuration selects it and kept while later ones do not, so a core
+	// reset between configurations builds each table once.
+	kept struct {
+		gshare *predictor.GShare
+		ctx    *predictor.Context
+		vp     *predictor.Value
+		sset   *predictor.StoreSets
+	}
 	// shadows tracks all shadow casters; ctrlShadows tracks only branches
 	// (the Spectre taint model's visibility definition).
 	shadows     secure.ShadowTracker
@@ -165,22 +175,34 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 		return nil, err
 	}
 	c := newCore(cfg)
-	c.reset(prog)
+	c.reset(cfg, prog)
 	return c, nil
 }
 
-// Reset puts the core into exactly the state New(c.Config(), prog)
-// builds: whatever the last run left (a halt, a cycle limit, an abandoned
-// squash) is cleared, the trace sink, metrics, observation traces and
-// cycle window are detached, and a branch predictor SetBranchPredictor
-// installed is replaced by the configured one. Storage is kept: caches,
-// memory image, queues and tables are cleared in place. The program is
-// validated first; on error the core is unchanged.
-func (c *Core) Reset(prog *program.Program) error {
+// Reset puts the core into exactly the state New(cfg, prog) builds:
+// whatever the last run left (a halt, a cycle limit, an abandoned squash)
+// is cleared, the trace sink, metrics, observation traces and cycle
+// window are detached, and a branch predictor SetBranchPredictor installed
+// is replaced by the configured one. Storage is kept: caches, memory
+// image, queues and tables are cleared in place. cfg may differ from the
+// core's configuration in anything but the fields that size storage
+// (Config.storage: widths, queue sizes, the memory hierarchy, the stride
+// and bimodal tables); scheme, address and value prediction, predictor
+// kinds, mutation, latencies and prefetching are taken from cfg as New
+// takes them. The configuration and program are validated first; on
+// error, a configuration with other storage included, the core is
+// unchanged.
+func (c *Core) Reset(cfg Config, prog *program.Program) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.storage() != c.cfg.storage() {
+		return errors.New("pipeline: cannot reset a core to a configuration that sizes its storage differently (widths, queue sizes, memory hierarchy, stride or bimodal table)")
+	}
 	if err := prog.Validate(); err != nil {
 		return err
 	}
-	c.reset(prog)
+	c.reset(cfg, prog)
 	return nil
 }
 
@@ -188,18 +210,19 @@ func (c *Core) Reset(prog *program.Program) error {
 func (c *Core) Config() Config { return c.cfg }
 
 // Outgrown reports whether the core's storage grew past what a short run
-// (a leakage gadget) fills: a cache past its first segment, or committed
+// (a leakage gadget) fills: a cache past its second segment, or committed
 // memory past one slab of pages. sim.Runner keeps only cores that did not,
 // so an idle core holds at most a short run's footprint.
 func (c *Core) Outgrown() bool {
 	return c.hier.Outgrown() || len(c.backing.pages)+len(c.backing.free) > slabPages
 }
 
-// newCore allocates every structure of a core for the configuration; reset
-// then gives it its initial state. Every structure the cycle loop appends
-// to is pre-sized, so steady-state simulation never grows a slice: queue
-// contents are bounded by the structure sizes (anything in flight occupies
-// a ROB slot).
+// newCore allocates every structure of a core that its configuration's
+// storage fields size (Config.storage); reset then gives it its initial
+// state and everything the rest of the configuration selects. Every
+// structure the cycle loop appends to is pre-sized, so steady-state
+// simulation never grows a slice: queue contents are bounded by the
+// structure sizes (anything in flight occupies a ROB slot).
 func newCore(cfg Config) *Core {
 	nPhys := isa.NumRegs + cfg.ROBSize
 	c := &Core{
@@ -218,7 +241,7 @@ func newCore(cfg Config) *Core {
 		inflightExec:   make([]*uop, 0, cfg.ROBSize),
 		pendingResolve: make([]*uop, 0, cfg.ROBSize),
 		fetchBuf:       make([]fetched, 0, 2*cfg.DecodeWidth),
-		prefetchBuf:    make([]uint64, 0, cfg.PrefetchDegree),
+		specLog:        make([]specAcc, 0, cfg.ROBSize),
 	}
 	// One allocation holds every wake set: the ready set, then the load
 	// queue's awake set, shadow- and MSHR-parked sets and timing wheel.
@@ -230,55 +253,57 @@ func newCore(cfg Config) *Core {
 	c.lqMSHR, c.lqTimers = words[:lqw:lqw], words[lqw:]
 	c.shadows.Reserve(cfg.ROBSize)
 	c.ctrlShadows.Reserve(cfg.ROBSize)
-	if cfg.Scheme.ControlOnlyTaint() {
-		c.taints = secure.NewTaintTracker(nPhys, &c.ctrlShadows)
-	} else {
-		c.taints = secure.NewTaintTracker(nPhys, &c.shadows)
-	}
-	if cfg.BranchPredictorKind == BranchGShare {
-		c.bpG = predictor.NewGShare(cfg.GShare)
-	}
-	if cfg.AddressPredictorKind != PredictorStride {
-		c.ctx = predictor.NewContext(cfg.Context)
-	}
-	if cfg.ValuePrediction {
-		c.vp = predictor.NewValue(cfg.Value)
-	}
-	if cfg.MemDepPrediction {
-		c.sset = predictor.NewStoreSets(cfg.StoreSets)
-	}
-	if cfg.Scheme.UndoesSpeculation() {
-		// CleanupSpec-style undo: the hierarchy journals every tagged
-		// speculative side effect; squashes roll the journal back (see
-		// squashAfter) and commit retires it (see commit). The planted
-		// weakenings selectively disable parts of the rollback.
-		c.undoOn = true
-		c.hier.EnableUndo(mem.UndoOptions{
-			SkipLRUUndo: cfg.Mutation.SkipsLRUUndo(),
-			DropEvicted: cfg.Mutation.DropsEvictedLines(),
-		})
-		c.specLog = make([]specAcc, 0, cfg.ROBSize)
-	}
+	c.taints = secure.NewTaintTracker(nPhys, &c.shadows)
 	return c
 }
 
-// reset gives the core the initial state for prog, whatever state it was
-// in: New's initialiser for a fresh core and Reset's for a used one, so
-// the two cannot drift apart. It clears only what a run can have changed,
-// and of that only what the next run could tell apart. ROB, load- and
-// store-queue entries are not cleared: emptying the rings is enough,
-// because dispatch writes every entry it takes whole. A rename register's
-// value and readiness are dead until dispatch allocates it, which marks it
-// not ready. The load queue's awake, shadow-parked and timer sets keep
+// reset gives the core the initial state for prog under cfg, whatever
+// state and configuration it was in: New's initialiser for a fresh core
+// and Reset's for a used one, so the two cannot drift apart. cfg sizes
+// storage as the core's configuration does. It first makes every choice
+// that depends on the rest of cfg: the taint tracker's shadow set, the
+// undo journal and its options, the optional predictor tables and the
+// prefetch buffer's capacity. It then clears only what a run can have
+// changed, and of that only what the next run could tell apart. ROB,
+// load- and store-queue entries are not cleared: emptying the rings is
+// enough, because dispatch writes every entry it takes whole. A rename
+// register's value and readiness are dead until dispatch allocates it,
+// which marks it not ready. The load queue's awake, shadow-parked and timer sets keep
 // their members: a member only earns its slot an early visit, which is
 // always safe, and a squash leaves such members behind too. The branch
 // queue's walk bookkeeping (shadowMoves, brSeen, brDueAt) is kept for the
 // same reason: a stale value only earns an extra walk, since brDueAt is
 // lowered to every issued branch's outcome cycle. The prefetch buffer is
 // scratch that every use truncates first.
-func (c *Core) reset(prog *program.Program) {
-	c.prog = prog
+func (c *Core) reset(cfg Config, prog *program.Program) {
+	c.cfg, c.prog = cfg, prog
+	if cfg.Scheme.ControlOnlyTaint() {
+		c.taints.Bind(&c.ctrlShadows)
+	} else {
+		c.taints.Bind(&c.shadows)
+	}
 	c.hier.Reset()
+	c.undoOn = cfg.Scheme.UndoesSpeculation()
+	if c.undoOn {
+		// CleanupSpec-style undo: the hierarchy journals every tagged
+		// speculative side effect; squashes roll the journal back (see
+		// squashAfter) and commit retires it (see commit). The planted
+		// weakenings selectively disable parts of the rollback.
+		c.hier.EnableUndo(mem.UndoOptions{
+			SkipLRUUndo: cfg.Mutation.SkipsLRUUndo(),
+			DropEvicted: cfg.Mutation.DropsEvictedLines(),
+		})
+	} else {
+		c.hier.DisableUndo()
+	}
+	if cap(c.prefetchBuf) < cfg.PrefetchDegree {
+		c.prefetchBuf = make([]uint64, 0, cfg.PrefetchDegree)
+	}
+	c.bpG = optional(cfg.BranchPredictorKind == BranchGShare, &c.kept.gshare, cfg.GShare, predictor.NewGShare)
+	c.ctx = optional(cfg.AddressPredictorKind != PredictorStride, &c.kept.ctx, cfg.Context, predictor.NewContext)
+	c.vp = optional(cfg.ValuePrediction, &c.kept.vp, cfg.Value, predictor.NewValue)
+	c.sset = optional(cfg.MemDepPrediction, &c.kept.sset, cfg.StoreSets, predictor.NewStoreSets)
+
 	c.bim.Reset()
 	c.bp, c.bpBim = c.bim, c.bim
 	c.stride.Reset()
@@ -312,9 +337,9 @@ func (c *Core) reset(prog *program.Program) {
 		c.regWaiters[p] = -1
 	}
 
-	c.rob = newRing(c.cfg.ROBSize)
-	c.lq = newRing(c.cfg.LQSize)
-	c.sq = newRing(c.cfg.SQSize)
+	c.rob = newRing(cfg.ROBSize)
+	c.lq = newRing(cfg.LQSize)
+	c.sq = newRing(cfg.SQSize)
 	c.iqLen = 0
 	clear(c.iqReady)
 	clear(c.lqMSHR)
@@ -341,6 +366,24 @@ func (c *Core) reset(prog *program.Program) {
 	c.obsAddrSeq, c.obsCtrlSeq, c.obsAddrSpec, c.obsCtrlSpec = 0, 0, 0, 0
 	c.specLog = c.specLog[:0]
 	c.Stats = Stats{}
+}
+
+// optional returns the predictor table a configuration selects when on,
+// and nil when it is off. The table is *kept, built with cfg when there is
+// none yet or the kept one was built for another table configuration, and
+// kept from then on.
+func optional[T interface {
+	comparable
+	Config() C
+}, C comparable](on bool, kept *T, cfg C, build func(C) T) T {
+	var none T
+	if !on {
+		return none
+	}
+	if *kept == none || (*kept).Config() != cfg {
+		*kept = build(cfg)
+	}
+	return *kept
 }
 
 // zeroed returns s resized to n elements, all zero, reusing its storage

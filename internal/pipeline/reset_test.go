@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"doppelganger/internal/leakcheck"
@@ -129,6 +130,27 @@ func abandonAtBusiest(t *testing.T, c *pipeline.Core, p *program.Program, cfg pi
 	_ = c.Drain(1)
 }
 
+// warmState runs p for 200 instructions on a fresh core under cfg, drains
+// it and returns its checkpoint image.
+func warmState(t *testing.T, cfg pipeline.Config, p *program.Program) *pipeline.CoreState {
+	t.Helper()
+	warm, err := pipeline.New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Run(200, resetCycleLimit); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := warm.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // resetInputs is the programs the reset core runs in turn, each after the
 // one before it: fuzz programs, generated gadgets (both secrets), a
 // program that never touches memory, and under an undo scheme the
@@ -212,6 +234,49 @@ func resetMachines() map[string]pipeline.Config {
 	return out
 }
 
+// retargetMachines is the configurations one core is reset between, all
+// sizing storage as the default machine does: every registry scheme ±AP,
+// Cleanup with each planted rollback weakening, the two machines of
+// resetMachines with the optional tables, and DoM+AP on a gshare table
+// smaller than the default one, which a core that built the default table
+// must build again. Names are sorted.
+func retargetMachines() ([]string, map[string]pipeline.Config) {
+	out := resetMachines()
+	delete(out, "cleanup/ap=true/tiny")
+	for _, m := range secure.Mutations() {
+		if s, _ := m.Target(); s.UndoesSpeculation() {
+			cfg := pipeline.DefaultConfig()
+			cfg.Scheme, cfg.Mutation = s, m
+			out[fmt.Sprintf("%v!%v", s, m)] = cfg
+		}
+	}
+	small := pipeline.DefaultConfig()
+	small.Scheme, small.AddressPrediction = secure.DoM, true
+	small.BranchPredictorKind = pipeline.BranchGShare
+	small.GShare = predictor.GShareConfig{Entries: 256, HistoryBits: 8}
+	out["dom/ap=true/gshare-256"] = small
+	names := make([]string, 0, len(out))
+	for name := range out {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, out
+}
+
+// retargetInputs is the programs a core reset to cfg runs in the retarget
+// chain: gadgets with both secrets and, under an undo scheme, gadgets
+// that prime the L1 first, so squashed fills evict lines.
+func retargetInputs(cfg pipeline.Config, gadgets int) []*program.Program {
+	var progs []*program.Program
+	for seed := int64(0); seed < int64(gadgets); seed++ {
+		p := leakcheck.Generate(seed)
+		p.Prime = cfg.Scheme.UndoesSpeculation() && seed%2 == 0
+		p = p.Normalize()
+		progs = append(progs, p.Build(p.SecretA), p.Build(p.SecretB))
+	}
+	return progs
+}
+
 // TestResetEqualsFresh holds Core.Reset to its contract: a used core reset
 // to program Y runs Y exactly as a fresh core does — Result, MicroDigest,
 // full-lattice Observation and checkpoint image byte-identical, with the
@@ -225,6 +290,13 @@ func resetMachines() map[string]pipeline.Config {
 // used core (ResetFromState) against a fresh NewFromState. Gadget seeds
 // 0–31 in full; -short takes a quarter of every input set, and the race
 // detector's ~10x slowdown one or two of each.
+//
+// Reset also retargets: for every ordered pair (X, Y) of
+// retargetMachines, a core left mid-squash under X is reset to Y and runs
+// a gadget exactly as a fresh core under Y does, every third pair through
+// a checkpoint restore (ResetFromState against NewFromState), and every
+// other pair with the invariant checker on. -short takes one pair in
+// three, and the race detector one in eleven.
 func TestResetEqualsFresh(t *testing.T) {
 	fuzz, gadgets, primed := 4, 32, 8
 	switch {
@@ -233,6 +305,14 @@ func TestResetEqualsFresh(t *testing.T) {
 	case testing.Short():
 		fuzz, gadgets, primed = 2, 8, 2
 	}
+	pairs := 1
+	switch {
+	case raceEnabled:
+		pairs = 11
+	case testing.Short():
+		pairs = 3
+	}
+	t.Run("retarget", func(t *testing.T) { testRetarget(t, gadgets, pairs) })
 	for name, cfg := range resetMachines() {
 		// The fresh cores run unchecked: the invariant checker only reads,
 		// so the two must still agree exactly.
@@ -259,7 +339,7 @@ func TestResetEqualsFresh(t *testing.T) {
 				c.SetBranchPredictor(predictor.StaticTaken{})
 				return finish(t, c, progs[0], true), sink, met
 			}
-			if err := c.Reset(progs[0]); err != nil {
+			if err := c.Reset(cfg, progs[0]); err != nil {
 				t.Fatal(err)
 			}
 			got, sink, met := attached(c)
@@ -279,7 +359,7 @@ func TestResetEqualsFresh(t *testing.T) {
 			events := sink.Len()
 
 			for i, p := range progs[1:] {
-				if err := c.Reset(p); err != nil {
+				if err := c.Reset(cfg, p); err != nil {
 					t.Fatal(err)
 				}
 				if i%4 == 0 {
@@ -305,21 +385,8 @@ func TestResetEqualsFresh(t *testing.T) {
 			// core and on a fresh one.
 			gp := leakcheck.Generate(5).Normalize()
 			p := gp.Build(gp.SecretB)
-			warm, err := pipeline.New(cfg, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.Run(200, resetCycleLimit); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.Drain(0); err != nil {
-				t.Fatal(err)
-			}
-			st, err := warm.CaptureState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.ResetFromState(p, st); err != nil {
+			st := warmState(t, cfg, p)
+			if err := c.ResetFromState(cfg, p, st); err != nil {
 				t.Fatal(err)
 			}
 			sink = obs.NewRingSink(1 << 16)
@@ -339,8 +406,66 @@ func TestResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestResetRefusesInvalidProgram: Reset validates the program first and
-// leaves the core unchanged when it is refused.
+// testRetarget is TestResetEqualsFresh's cross-configuration half: one
+// core per machine X, reset to every machine Y in turn, one pair in
+// every pairs taken.
+func testRetarget(t *testing.T, gadgets, pairs int) {
+	names, machines := retargetMachines()
+	inputs := map[string][]*program.Program{}
+	for _, name := range names {
+		inputs[name] = retargetInputs(machines[name], gadgets)
+	}
+	for xi, x := range names {
+		t.Run(x, func(t *testing.T) {
+			t.Parallel()
+			X := machines[x]
+			c, err := pipeline.New(X, inputs[x][0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for yi, y := range names {
+				if (xi+yi)%pairs != 0 {
+					continue
+				}
+				// Leave the core mid-squash under X, then retarget it.
+				if err := c.Reset(X, inputs[x][yi%len(inputs[x])]); err != nil {
+					t.Fatal(err)
+				}
+				abandonMidSquash(t, c)
+				Y := machines[y]
+				checked := Y
+				checked.SelfCheck = (xi+yi)%2 == 0
+				q := inputs[y][xi%len(inputs[y])]
+				what := fmt.Sprintf("%s reset from %s, %s", y, x, q.Name)
+				if yi%3 != 2 {
+					if err := c.Reset(checked, q); err != nil {
+						t.Fatal(err)
+					}
+					traces := yi%2 == 1
+					fresh, err := pipeline.New(Y, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustEqual(t, what, finish(t, c, q, traces), finish(t, fresh, q, traces))
+					continue
+				}
+				st := warmState(t, Y, q)
+				if err := c.ResetFromState(checked, q, st); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := pipeline.NewFromState(Y, q, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqual(t, what+", restored", finish(t, c, q, true), finish(t, fresh, q, true))
+			}
+		})
+	}
+}
+
+// TestResetRefusesInvalidProgram: Reset validates the configuration and
+// program first, refuses a configuration that sizes storage differently
+// from the core's, and leaves the core unchanged when it refuses.
 func TestResetRefusesInvalidProgram(t *testing.T) {
 	p := pipeline.RandomProgram(7, 10, 20)
 	c, err := pipeline.New(pipeline.DefaultConfig(), p)
@@ -348,8 +473,25 @@ func TestResetRefusesInvalidProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &program.Program{Name: "bad", Entry: 99}
-	if err := c.Reset(bad); err == nil {
+	if err := c.Reset(pipeline.DefaultConfig(), bad); err == nil {
 		t.Fatal("Reset accepted an invalid program")
+	}
+	invalid := pipeline.DefaultConfig()
+	invalid.ROBSize = 0
+	if err := c.Reset(invalid, p); err == nil {
+		t.Fatal("Reset accepted an invalid configuration")
+	}
+	for _, resize := range []func(*pipeline.Config){
+		func(cfg *pipeline.Config) { cfg.ROBSize /= 2 },
+		func(cfg *pipeline.Config) { cfg.Memory.L1MSHRs = 4 },
+		func(cfg *pipeline.Config) { cfg.Branch.Entries *= 2 },
+	} {
+		other := pipeline.DefaultConfig()
+		other.Scheme = secure.DoM
+		resize(&other)
+		if err := c.Reset(other, p); err == nil {
+			t.Fatalf("Reset accepted a configuration with other storage: %+v", other)
+		}
 	}
 	if err := c.Run(0, resetCycleLimit); err != nil {
 		t.Fatal(err)

@@ -224,11 +224,11 @@ func NewFromState(cfg Config, prog *program.Program, st *CoreState) (*Core, erro
 }
 
 // ResetFromState is Reset followed by NewFromState's restore: it puts the
-// core into exactly the state NewFromState(c.Config(), prog, st) builds,
-// keeping its storage. On error the core is left partly restored; Reset it
-// before its next run.
-func (c *Core) ResetFromState(prog *program.Program, st *CoreState) error {
-	if err := c.Reset(prog); err != nil {
+// core into exactly the state NewFromState(cfg, prog, st) builds, keeping
+// its storage. A refused Reset leaves the core unchanged; a refused
+// restore leaves it partly restored, to be Reset before its next run.
+func (c *Core) ResetFromState(cfg Config, prog *program.Program, st *CoreState) error {
+	if err := c.Reset(cfg, prog); err != nil {
 		return err
 	}
 	return c.restore(st)

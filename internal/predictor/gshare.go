@@ -27,6 +27,7 @@ func (c GShareConfig) Validate() error {
 // at prediction time and the architectural history at training time — and
 // repair its history register on squashes. See pipeline's gshare glue.
 type GShare struct {
+	cfg      GShareConfig
 	counters []uint8
 	mask     uint64
 	histMask uint64
@@ -38,6 +39,7 @@ func NewGShare(cfg GShareConfig) *GShare {
 		panic(err)
 	}
 	g := &GShare{
+		cfg:      cfg,
 		counters: make([]uint8, cfg.Entries),
 		mask:     uint64(cfg.Entries - 1),
 		histMask: (1 << uint(cfg.HistoryBits)) - 1,
@@ -45,6 +47,9 @@ func NewGShare(cfg GShareConfig) *GShare {
 	g.Reset()
 	return g
 }
+
+// Config returns the predictor configuration.
+func (g *GShare) Config() GShareConfig { return g.cfg }
 
 // Reset returns the predictor to the state NewGShare builds.
 func (g *GShare) Reset() {

@@ -24,6 +24,10 @@ func NewTaintTracker(physRegs int, shadows *ShadowTracker) *TaintTracker {
 	return &TaintTracker{root: make([]uint64, physRegs), shadows: shadows}
 }
 
+// Bind makes shadows the shadow tracker that defines the tracker's
+// visibility points.
+func (t *TaintTracker) Bind(shadows *ShadowTracker) { t.shadows = shadows }
+
 // SetRoot records that register r was written by the load with sequence seq
 // (the load taints its own output; whether that taint is live is decided
 // dynamically against the shadow frontier).

@@ -186,6 +186,43 @@ func BenchmarkCoreReset(b *testing.B) {
 	}
 }
 
+// BenchmarkRunnerMixedConfigs measures one sim.Runner making a campaign
+// batch's runs in the order campaign.Run submits them, genome-major: eight
+// genomes, each one's two secrets under every default config (the paper's
+// schemes ±AP), observing the full contract lattice. The last genome
+// poisons the branch predictor, so its runs switch the core to gshare.
+// Every run resets the previous run's core, whatever its configuration.
+func BenchmarkRunnerMixedConfigs(b *testing.B) {
+	type job struct {
+		p   *sim.Program
+		cfg sim.Config
+	}
+	var jobs []job
+	for seed := int64(0); seed < 8; seed++ {
+		g := leakcheck.Generate(seed)
+		if seed == 7 {
+			g.Kind = leakcheck.KindBranchPoison
+		}
+		g = g.Normalize()
+		pa, pb := g.Build(g.SecretA), g.Build(g.SecretB)
+		for _, c := range leakcheck.DefaultConfigs() {
+			sc := c.SimConfig(g)
+			jobs = append(jobs, job{pa, sc}, job{pb, sc})
+		}
+	}
+	lattice := sim.Lattice()
+	var r sim.Runner
+	var o sim.Observation
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			if _, err := r.RunContext(context.Background(), j.p, j.cfg, sim.Observe(&o, lattice...)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkRunDoMStall measures the cell with the most parked loads: DoM
 // without doppelganger loads on random_walk, a memory-bound kernel whose
 // speculative misses are delayed until their loads turn non-speculative.

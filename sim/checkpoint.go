@@ -142,8 +142,8 @@ func RunFromCheckpoint(ctx context.Context, p *Program, cfg Config, ck *Checkpoi
 }
 
 // RunFromCheckpoint is the package-level RunFromCheckpoint on the Runner's
-// core: a kept core of the same configuration is reset and restored
-// (Core.ResetFromState) instead of a new one being built.
+// core: the kept core is reset to cfg and restored (Core.ResetFromState)
+// instead of a new one being built.
 func (r *Runner) RunFromCheckpoint(ctx context.Context, p *Program, cfg Config, ck *Checkpoint, opts ...RunOption) (Result, error) {
 	p, err := checkpointProgram(p, ck)
 	if err != nil {

@@ -78,15 +78,17 @@ func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) 
 	return new(Runner).RunContext(ctx, p, cfg, opts...)
 }
 
-// Runner makes runs on one core that it keeps between them: a run whose
-// resolved core configuration equals the kept core's resets that core
-// (Core.Reset) instead of building a new one, so a caller making many
+// Runner makes runs on one core that it keeps between them: each run
+// resets that core (Core.Reset) to the run's program and resolved core
+// configuration instead of building a new one, so a caller making many
 // short runs (a leakage sweep, a campaign worker) stops paying for a fresh
-// core's allocation and zeroing on each. A run under another configuration
-// builds a fresh core, which the Runner then keeps instead. A core whose
-// run outgrew a short run's storage is not kept (Core.Outgrown), so an
-// idle Runner holds at most about a megabyte. Results are identical to the
-// package-level functions', which run on a fresh Runner.
+// core's allocation and zeroing on each. The configuration may change from
+// run to run, scheme, address prediction and predictor kinds included; only
+// a run whose configuration the core refuses (one that sizes its storage
+// differently) builds a fresh core, which the Runner then keeps instead. A
+// core whose run outgrew a short run's storage is not kept
+// (Core.Outgrown), so an idle Runner holds at most about 3 MB. Results are
+// identical to the package-level functions', which run on a fresh Runner.
 //
 // The zero value is ready to use. A Runner is not safe for concurrent use:
 // give each goroutine its own. The kept core never leaves the Runner.
@@ -96,21 +98,20 @@ type Runner struct {
 
 // coreFor returns the Runner's core in the state a fresh core for p under
 // cfg starts in, with st restored when it is non-nil: the kept core, reset,
-// when its configuration is cfg's, and otherwise a fresh core that the
-// Runner keeps from then on.
+// unless it refuses cfg, and otherwise a fresh core that the Runner keeps
+// from then on.
 func (r *Runner) coreFor(p *Program, cfg Config, st *pipeline.CoreState) (*Core, error) {
 	cc := cfg.ResolvedCore()
-	if r.core != nil && r.core.Config() == cc {
+	if r.core != nil {
 		var err error
 		if st == nil {
-			err = r.core.Reset(p)
+			err = r.core.Reset(cc, p)
 		} else {
-			err = r.core.ResetFromState(p, st)
+			err = r.core.ResetFromState(cc, p, st)
 		}
-		if err != nil {
-			return nil, err
+		if err == nil {
+			return r.core, nil
 		}
-		return r.core, nil
 	}
 	var c *Core
 	var err error

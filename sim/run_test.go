@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"doppelganger/internal/leakcheck"
 	"doppelganger/sim"
 )
 
@@ -159,10 +160,11 @@ func TestWithMetrics(t *testing.T) {
 }
 
 // TestRunnerMatchesPackageFunctions: one Runner making a mixed sequence of
-// runs — configurations that alternate, a run cut off by its cycle budget,
-// a run that fills whole cache levels, a cancelled run, a snapshot and
-// restores — returns exactly what the
-// package-level functions, each on a fresh core, return for every run.
+// runs — configurations that alternate, a gadget whose configuration
+// switches to a gshare predictor, a run cut off by its cycle budget, a run
+// that fills whole cache levels, a cancelled run, a snapshot and restores
+// — returns exactly what the package-level functions, each on a fresh
+// core, return for every run.
 func TestRunnerMatchesPackageFunctions(t *testing.T) {
 	quick := sim.MustAssemble("quick", quickSource)
 	w, ok := sim.WorkloadByName("hash_irregular")
@@ -181,6 +183,11 @@ func TestRunnerMatchesPackageFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	poison := leakcheck.Generate(7)
+	poison.Kind = leakcheck.KindBranchPoison
+	poison = poison.Normalize()
+	gadget := poison.Build(poison.SecretA)
+	gshare := leakcheck.Config{Scheme: sim.STT, AP: true}.SimConfig(poison)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	type outcome struct {
@@ -222,6 +229,9 @@ func TestRunnerMatchesPackageFunctions(t *testing.T) {
 				t.Errorf("Runner.Snapshot digest %s, package-level %s", got.Digest(), ck.Digest())
 			}
 			return sim.Result{}, err
+		}},
+		{"branch-poison gadget/stt+ap with gshare", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
+			return r.RunContext(context.Background(), gadget, gshare, sim.Observe(o))
 		}},
 		{"quick/dom again", func(r *sim.Runner, o *sim.Observation) (sim.Result, error) {
 			return r.RunContext(context.Background(), quick, dom, sim.Observe(o))
