@@ -21,6 +21,13 @@
 // Medians of several counts damp scheduler noise; the geomean (rather than
 // any single benchmark) damps it further. Benchmarks present on only one
 // side are reported but do not affect the verdict.
+//
+// Both modes first print the host state the benchmarks ran in: the CPU,
+// the GOMAXPROCS their names carry, and the load average from
+// /proc/loadavg when the bench output ends (its 1-minute figure covers the
+// benchmarks' last minute, their own load included). -write records the
+// same line as the baseline's note, so a gate result can be read against
+// the load both sides ran under.
 package main
 
 import (
@@ -44,7 +51,8 @@ import (
 // with -benchmem, median allocs/op and B/op) per benchmark, with the machine
 // context that produced it recorded for humans reading diffs.
 type Baseline struct {
-	// Note is free-form provenance (host CPU line from the bench output).
+	// Note is free-form provenance: the host state the benchmarks ran in
+	// (see host).
 	Note string `json:"note,omitempty"`
 	// NsPerOp maps benchmark name (GOMAXPROCS suffix stripped) to the
 	// median ns/op across counts.
@@ -64,7 +72,38 @@ type Baseline struct {
 //	BenchmarkRunUntraced-8   	       9	 127850275 ns/op	11328728 B/op	     246 allocs/op
 //
 // The B/op and allocs/op columns only appear under -benchmem.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9]+) allocs/op)?`)
+
+// host is the state of the machine a bench run reports: the cpu: line of
+// the output, the GOMAXPROCS suffix of its benchmark names (0 when they
+// carry none) and the load average when the output ended.
+type host struct {
+	cpu   string
+	procs int
+	load  string
+}
+
+func (h host) String() string {
+	procs := "unknown"
+	if h.procs > 0 {
+		procs = strconv.Itoa(h.procs)
+	}
+	cpu := h.cpu
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	return fmt.Sprintf("%s; GOMAXPROCS %s; load average %s", cpu, procs, h.load)
+}
+
+// loadAverage returns the 1-, 5- and 15-minute load averages from
+// /proc/loadavg, or "unknown" where it cannot be read.
+func loadAverage() string {
+	data, err := os.ReadFile("/proc/loadavg")
+	if f := strings.Fields(string(data)); err == nil && len(f) >= 3 {
+		return strings.Join(f[:3], " ")
+	}
+	return "unknown"
+}
 
 // samples accumulates the repeated-count measurements of one benchmark.
 type samples struct {
@@ -95,7 +134,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	parsed, note, err := parse(os.Stdin)
+	parsed, h, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		os.Exit(2)
@@ -105,9 +144,11 @@ func main() {
 		os.Exit(2)
 	}
 	meds := reduce(parsed)
+	h.load = loadAverage()
+	fmt.Printf("benchcheck: host %s\n", h)
 
 	if *write != "" {
-		if err := writeBaseline(*write, note, meds); err != nil {
+		if err := writeBaseline(*write, h.String(), meds); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 			os.Exit(2)
 		}
@@ -124,6 +165,9 @@ func main() {
 	if err := json.Unmarshal(data, &base); err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", *baseline, err)
 		os.Exit(2)
+	}
+	if base.Note != "" {
+		fmt.Printf("benchcheck: baseline host %s\n", base.Note)
 	}
 	var keep *regexp.Regexp
 	if *filter != "" {
@@ -305,25 +349,28 @@ func allocRegressed(old, now, threshold float64) bool {
 }
 
 // parse collects per-benchmark samples from `go test -bench` text and
-// returns the cpu: line (if any) as provenance.
-func parse(r io.Reader) (map[string]*samples, string, error) {
+// returns the host's cpu: line and GOMAXPROCS as provenance.
+func parse(r io.Reader) (map[string]*samples, host, error) {
 	out := make(map[string]*samples)
-	var note string
+	var h host
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, "cpu:") {
-			note = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+			h.cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
+		if m[2] != "" {
+			h.procs, _ = strconv.Atoi(m[2])
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
-			return nil, "", fmt.Errorf("bad ns/op in %q: %v", line, err)
+			return nil, h, fmt.Errorf("bad ns/op in %q: %v", line, err)
 		}
 		s := out[m[1]]
 		if s == nil {
@@ -331,20 +378,20 @@ func parse(r io.Reader) (map[string]*samples, string, error) {
 			out[m[1]] = s
 		}
 		s.ns = append(s.ns, v)
-		if m[3] != "" {
-			by, err := strconv.ParseFloat(m[3], 64)
+		if m[4] != "" {
+			by, err := strconv.ParseFloat(m[4], 64)
 			if err != nil {
-				return nil, "", fmt.Errorf("bad B/op in %q: %v", line, err)
+				return nil, h, fmt.Errorf("bad B/op in %q: %v", line, err)
 			}
-			a, err := strconv.ParseFloat(m[4], 64)
+			a, err := strconv.ParseFloat(m[5], 64)
 			if err != nil {
-				return nil, "", fmt.Errorf("bad allocs/op in %q: %v", line, err)
+				return nil, h, fmt.Errorf("bad allocs/op in %q: %v", line, err)
 			}
 			s.bytes = append(s.bytes, by)
 			s.allocs = append(s.allocs, a)
 		}
 	}
-	return out, note, sc.Err()
+	return out, h, sc.Err()
 }
 
 // reduce folds each benchmark's samples to medians. Alloc medians are only

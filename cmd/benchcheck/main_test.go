@@ -35,12 +35,16 @@ BenchmarkNewHotness-8       50     20000000 ns/op    1048576 B/op    10 allocs/o
 `
 
 func TestParseBenchmem(t *testing.T) {
-	parsed, note, err := parse(strings.NewReader(benchmemOutput))
+	parsed, h, err := parse(strings.NewReader(benchmemOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if note != "Test CPU @ 2.0GHz" {
-		t.Errorf("note = %q", note)
+	if h.cpu != "Test CPU @ 2.0GHz" || h.procs != 8 {
+		t.Errorf("host = %+v, want the cpu: line and GOMAXPROCS 8", h)
+	}
+	h.load = "0.50 0.40 0.30"
+	if got, want := h.String(), "Test CPU @ 2.0GHz; GOMAXPROCS 8; load average 0.50 0.40 0.30"; got != want {
+		t.Errorf("host note = %q, want %q", got, want)
 	}
 	s := parsed["BenchmarkRunUntraced"]
 	if s == nil || len(s.ns) != 2 || len(s.allocs) != 2 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"doppelganger/internal/program"
 	"doppelganger/internal/secure"
 	"doppelganger/sim"
 )
@@ -121,19 +122,35 @@ func Check(ctx context.Context, p Params, cfg Config) (*Leak, error) {
 	return check(ctx, new(sim.Runner), p, cfg)
 }
 
-// check is Check on the runner's core. The pair's two runs share one
-// configuration, so the second resets the first's core.
+// check is Check on the runner's core.
 func check(ctx context.Context, r *sim.Runner, p Params, cfg Config) (*Leak, error) {
+	return checkBuilt(ctx, r, build(p), cfg)
+}
+
+// built is a gadget's normalized parameters with its differential pair's
+// two programs, built once for every config that checks it: a run copies
+// a program's initial memory and never writes to it.
+type built struct {
+	p     Params
+	progs [2]*program.Program // built with p.SecretA, p.SecretB
+}
+
+func build(p Params) built {
 	p = p.Normalize()
-	oa, err := observationOf(ctx, r, p, cfg, p.SecretA)
-	if err != nil {
-		return nil, err
+	return built{p, [2]*program.Program{p.Build(p.SecretA), p.Build(p.SecretB)}}
+}
+
+// checkBuilt is check on a built pair. The pair's two runs share one
+// configuration, so the second resets the first's core.
+func checkBuilt(ctx context.Context, r *sim.Runner, g built, cfg Config) (*Leak, error) {
+	var obs [2]sim.Observation
+	for i, secret := range [2]uint8{g.p.SecretA, g.p.SecretB} {
+		var err error
+		if obs[i], err = observationOf(ctx, r, g.p, g.progs[i], cfg, secret); err != nil {
+			return nil, err
+		}
 	}
-	ob, err := observationOf(ctx, r, p, cfg, p.SecretB)
-	if err != nil {
-		return nil, err
-	}
-	return PairLeak(p, cfg, oa, ob), nil
+	return PairLeak(g.p, cfg, obs[0], obs[1]), nil
 }
 
 // PairLeak is the leak verdict on a differential pair's two observations:
@@ -164,13 +181,12 @@ func (c Config) SimConfig(p Params) sim.Config {
 	}
 }
 
-// observationOf builds the gadget with one secret and runs it to
-// completion, observing the full contract lattice. With WarmupInsts set
-// the run goes through snapshot/restore midway instead of straight-line;
-// both secrets of a pair take the same path, so observations stay
-// comparable. Every run goes through r.
-func observationOf(ctx context.Context, r *sim.Runner, p Params, cfg Config, secret uint8) (sim.Observation, error) {
-	prog := p.Build(secret)
+// observationOf runs the gadget's program for one secret to completion,
+// observing the full contract lattice. With WarmupInsts set the run goes
+// through snapshot/restore midway instead of straight-line; both secrets
+// of a pair take the same path, so observations stay comparable. Every
+// run goes through r.
+func observationOf(ctx context.Context, r *sim.Runner, p Params, prog *program.Program, cfg Config, secret uint8) (sim.Observation, error) {
 	simCfg := cfg.SimConfig(p)
 	var o sim.Observation
 	var err error
@@ -226,9 +242,11 @@ func (r SweepResult) Verdict() string {
 
 // Sweep checks seeds [firstSeed, firstSeed+seeds) under every config,
 // running up to workers gadget checks concurrently, each worker on one
-// sim.Runner for all its pairs. Results are returned in config order with
-// leaks sorted by seed. A non-nil error aborts the sweep (first
-// infrastructure failure wins).
+// sim.Runner for all its pairs. Each seed's gadget pair is built once per
+// call and shared by every config, so a call holds the pairs of all its
+// seeds, about 10 KB each, until it returns. Results are returned in
+// config order with leaks sorted by seed. A non-nil error aborts the sweep
+// (first infrastructure failure wins).
 func Sweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers int) ([]SweepResult, error) {
 	if workers < 1 {
 		workers = 1
@@ -242,6 +260,12 @@ func Sweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers i
 		cfg  int
 		seed int64
 	}
+	// Every config checks the same seeds, so each seed's pair is built
+	// once, by the first job to need it.
+	gadgets := make([]struct {
+		once sync.Once
+		g    built
+	}, seeds)
 	jobs := make(chan job)
 	var (
 		wg       sync.WaitGroup
@@ -256,7 +280,9 @@ func Sweep(ctx context.Context, cfgs []Config, firstSeed int64, seeds, workers i
 			defer wg.Done()
 			var r sim.Runner
 			for j := range jobs {
-				leak, err := check(cctx, &r, Generate(j.seed), cfgs[j.cfg])
+				g := &gadgets[j.seed-firstSeed]
+				g.once.Do(func() { g.g = build(Generate(j.seed)) })
+				leak, err := checkBuilt(cctx, &r, g.g, cfgs[j.cfg])
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {

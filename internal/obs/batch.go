@@ -20,15 +20,20 @@ func (h *Histogram) Batch() *HistogramBatch {
 }
 
 // Observe records one value locally.
-func (b *HistogramBatch) Observe(v uint64) {
+func (b *HistogramBatch) Observe(v uint64) { b.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value locally, as n calls
+// of Observe would: a core observing a per-cycle value over a stretch of
+// cycles in which it cannot change observes it once, weighted.
+func (b *HistogramBatch) ObserveN(v, n uint64) {
 	edges := b.h.edges
 	i := 0
 	for i < len(edges) && v > edges[i] {
 		i++
 	}
-	b.counts[i]++
-	b.sum += v
-	b.count++
+	b.counts[i] += n
+	b.sum += v * n
+	b.count += n
 }
 
 // Flush folds the accumulated observations into the underlying histogram

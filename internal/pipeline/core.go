@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -446,17 +447,52 @@ func (c *Core) Halted() bool { return c.halted }
 // Run simulates until the program halts, maxInsts instructions have
 // committed (0 = unlimited), or maxCycles cycles have elapsed. It returns
 // an error only if the cycle limit was hit without halting, which indicates
-// a deadlocked pipeline or a runaway program.
+// a deadlocked pipeline or a runaway program. It is RunContext with a
+// context that is never cancelled.
 func (c *Core) Run(maxInsts, maxCycles uint64) error {
+	return c.RunContext(context.Background(), maxInsts, maxCycles)
+}
+
+// stepChunk is how many cycles RunContext simulates between checks of a
+// cancellable context.
+const stepChunk = 1 << 16
+
+// RunContext is Run that also stops, returning ctx.Err(), once ctx is
+// cancelled; the context is checked before the first cycle and then every
+// stepChunk cycles. Before every cycle it steps, the core skips the quiet
+// cycles ahead of it (see skip.go), never past maxCycles. On every
+// return, parked loads' stall counters are settled and buffered trace
+// events and metric observations are delivered, so counters, sinks and
+// registries are complete even for a failed or cancelled run.
+func (c *Core) RunContext(ctx context.Context, maxInsts, maxCycles uint64) error {
 	defer c.flushObs()
 	defer c.SettleStalls()
+	limit := maxCycles
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
+	done := ctx.Done()
+	poll := uint64(0) // the cycle at or after which ctx is next checked
+	if done == nil {
+		poll = ^uint64(0)
+	}
+	var sc skipCheck
 	for !c.halted {
 		if maxInsts > 0 && c.Stats.Committed >= maxInsts {
 			return nil
 		}
-		if maxCycles > 0 && c.cycle >= maxCycles {
+		c.skipQuiet(limit, &sc)
+		if c.cycle >= limit {
 			return fmt.Errorf("pipeline: cycle limit %d reached at %d committed instructions (possible deadlock)",
 				maxCycles, c.Stats.Committed)
+		}
+		if c.cycle >= poll {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+			poll = c.cycle + stepChunk
 		}
 		c.Step()
 	}

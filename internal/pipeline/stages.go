@@ -11,11 +11,7 @@ import (
 // (wrong) paths until the branch resolves and squashes — wrong-path
 // instructions really execute and really touch the caches.
 func (c *Core) fetch() {
-	if c.haltFetched || c.fetchStalled {
-		return
-	}
-	limit := 2 * c.cfg.DecodeWidth
-	for n := 0; n < c.cfg.DecodeWidth && len(c.fetchBuf) < limit; n++ {
+	for n := 0; n < c.cfg.DecodeWidth && c.canFetch(); n++ {
 		in := c.prog.Fetch(c.fetchPC)
 		f := fetched{pc: c.fetchPC, in: in}
 		if c.obsOn {
@@ -57,6 +53,13 @@ func (c *Core) fetch() {
 	}
 }
 
+// canFetch reports whether fetch may bring in another instruction: it has
+// not fetched the Halt, Drain has not stalled it, and the fetch buffer has
+// room.
+func (c *Core) canFetch() bool {
+	return !c.haltFetched && !c.fetchStalled && len(c.fetchBuf) < 2*c.cfg.DecodeWidth
+}
+
 // dispatch renames and dispatches instructions from the fetch buffer into
 // the ROB (and IQ/LQ/SQ as needed), up to DecodeWidth per cycle.
 func (c *Core) dispatch() {
@@ -64,18 +67,7 @@ func (c *Core) dispatch() {
 	for n < c.cfg.DecodeWidth && n < len(c.fetchBuf) {
 		f := c.fetchBuf[n]
 		kind := f.in.Op.Kind()
-		if c.rob.full() {
-			break
-		}
-		needsIQ := kind == isa.KindALU || kind == isa.KindLoad ||
-			kind == isa.KindStore || kind == isa.KindBranch
-		if needsIQ && c.iqLen >= c.cfg.IQSize {
-			break
-		}
-		if kind == isa.KindLoad && c.lq.full() {
-			break
-		}
-		if kind == isa.KindStore && c.sq.full() {
+		if !c.canDispatch(kind) {
 			break
 		}
 
@@ -166,6 +158,23 @@ func (c *Core) dispatch() {
 		n++
 	}
 	c.fetchBuf = c.fetchBuf[:copy(c.fetchBuf, c.fetchBuf[n:])]
+}
+
+// canDispatch reports whether an instruction of the kind finds room in
+// every structure it takes: the ROB, and the IQ, LQ or SQ as it needs.
+func (c *Core) canDispatch(kind isa.Kind) bool {
+	if c.rob.full() {
+		return false
+	}
+	switch kind {
+	case isa.KindALU, isa.KindBranch:
+		return c.iqLen < c.cfg.IQSize
+	case isa.KindLoad:
+		return c.iqLen < c.cfg.IQSize && !c.lq.full()
+	case isa.KindStore:
+		return c.iqLen < c.cfg.IQSize && !c.sq.full()
+	}
+	return true
 }
 
 func (c *Core) opLatency(op isa.Op) uint64 {

@@ -28,18 +28,21 @@ import (
 // drains in well under this.
 const DrainBudget = 1_000_000
 
-// Drain suppresses fetch and steps the core until the pipeline is empty:
-// every in-flight instruction has committed or squashed. Mispredicted
-// branches resolve and repair the front end during the drain, so fetchPC
-// and the branch history are architecturally correct afterwards. Fetch is
-// re-enabled on success, so the core can continue running.
+// Drain suppresses fetch and steps the core, skipping quiet cycles as
+// RunContext does, until the pipeline is empty: every in-flight
+// instruction has committed or squashed. Mispredicted branches resolve and
+// repair the front end during the drain, so fetchPC and the branch history
+// are architecturally correct afterwards. Fetch is re-enabled on success,
+// so the core can continue running.
 func (c *Core) Drain(maxCycles uint64) error {
 	if maxCycles == 0 {
 		maxCycles = DrainBudget
 	}
 	c.fetchStalled = true
 	start := c.cycle
+	var sc skipCheck
 	for !c.halted && (c.rob.len() > 0 || len(c.fetchBuf) > 0) {
+		c.skipQuiet(start+maxCycles, &sc)
 		if c.cycle-start >= maxCycles {
 			return fmt.Errorf("pipeline: drain did not quiesce within %d cycles (%d in flight)",
 				maxCycles, c.rob.len())

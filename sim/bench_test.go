@@ -243,6 +243,25 @@ func BenchmarkRunDoMStall(b *testing.B) {
 	}
 }
 
+// BenchmarkRunPointerChase measures the most stall-heavy kernel: unsafe
+// on pointer_chase, whose dependent DRAM misses leave about three cycles
+// in four with nothing to do. It gates the cost of cycles in which the
+// core waits on memory, which the run loop skips.
+func BenchmarkRunPointerChase(b *testing.B) {
+	w, ok := sim.WorkloadByName("pointer_chase")
+	if !ok {
+		b.Fatal("no pointer_chase workload")
+	}
+	p := w.Build(sim.ScaleTest)
+	cfg := sim.Config{Scheme: sim.Unsafe}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunNDAP measures NDA-P with doppelganger loads on stream: loads
 // whose values are present but held back until they are non-speculative,
 // released when the oldest unresolved shadow moves.

@@ -62,18 +62,15 @@ func WithMaxCycles(n uint64) RunOption {
 // diffs it between the two runs of a differential pair.
 type MicroDigest = pipeline.MicroDigest
 
-// stepChunk is how many cycles RunContext simulates between context
-// checks when the context is cancellable.
-const stepChunk = 1 << 16
-
 // RunContext simulates the program to completion under the configuration,
 // honouring context cancellation and any run options. It is the primary
 // entry point; Run is a convenience wrapper over it. It runs on a fresh
 // Runner; a caller with many short runs to make keeps a Runner instead.
 //
-// With a non-cancellable context (context.Background()) and no options the
-// run takes the same uninterrupted path as Run — the observability hooks
-// cost one predictable branch each when nothing is attached.
+// Every run, cancellable or not, takes the one run loop, Core.RunContext,
+// which checks a cancellable context every 65,536 cycles and skips quiet
+// cycles; the observability hooks cost one predictable branch each when
+// nothing is attached.
 func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (Result, error) {
 	return new(Runner).RunContext(ctx, p, cfg, opts...)
 }
@@ -176,16 +173,7 @@ func run(ctx context.Context, c *Core, p *Program, cfg Config, opts []RunOption)
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
 	}
-	err := runCore(ctx, c, cfg.MaxInsts, maxCycles)
-	// The chunked (cancellable) path steps the core directly, bypassing
-	// Core.Run's exit flush; credit parked loads' stall counters, and
-	// deliver buffered trace events and batched metrics, on every outcome
-	// so counters, attached sinks and registries are complete even for
-	// failed runs.
-	c.SettleStalls()
-	c.FlushTrace()
-	c.FlushMetrics()
-	if err != nil {
+	if err := c.RunContext(ctx, cfg.MaxInsts, maxCycles); err != nil {
 		return Result{}, fmt.Errorf("sim: %q under %v: %w", p.Name, cfg.Scheme, err)
 	}
 	res := Summarize(p, cfg, c)
@@ -201,40 +189,6 @@ func run(ctx context.Context, c *Core, p *Program, cfg Config, opts []RunOption)
 		}
 	}
 	return res, nil
-}
-
-// runCore drives the core to completion. A non-cancellable context takes
-// the direct path; otherwise the run is chunked so cancellation is observed
-// within stepChunk cycles.
-func runCore(ctx context.Context, c *Core, maxInsts, maxCycles uint64) error {
-	if ctx.Done() == nil {
-		return c.Run(maxInsts, maxCycles)
-	}
-	for !c.Halted() {
-		if maxInsts > 0 && c.Stats.Committed >= maxInsts {
-			return nil
-		}
-		if c.Cycle() >= maxCycles {
-			return fmt.Errorf("pipeline: cycle limit %d reached at %d committed instructions (possible deadlock)",
-				maxCycles, c.Stats.Committed)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		end := c.Cycle() + stepChunk
-		if end > maxCycles {
-			end = maxCycles
-		}
-		for !c.Halted() && c.Cycle() < end {
-			if maxInsts > 0 && c.Stats.Committed >= maxInsts {
-				return nil
-			}
-			c.Step()
-		}
-	}
-	return nil
 }
 
 // RecordMetrics flushes a finished run's counter totals into the registry.
