@@ -333,3 +333,46 @@ func TestCheckpointJob(t *testing.T) {
 		t.Errorf("stats after resubmit = run %d, hits %d; want 2, 1", st.JobsRun, st.CacheHits)
 	}
 }
+
+// TestObservedJobsSplitOnSecrets submits two observed jobs whose programs
+// differ only in their secret labels. The arch-public digest excludes
+// secret-derived state, so the two observations differ when run directly,
+// and the engine must not hand the second job the first one's.
+func TestObservedJobsSplitOnSecrets(t *testing.T) {
+	build := func(secrets []sim.SecretRegion) *sim.Program {
+		p, err := sim.Assemble("secret-load", "loadi r1, 64\n  load r2, [r1]\n  halt\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.InitMem = map[uint64]int64{64: 7}
+		p.Secrets = secrets
+		return p
+	}
+	public := build(nil)
+	labelled := build([]sim.SecretRegion{{Base: 64, Len: 8}})
+	cfg := sim.Config{Scheme: sim.Unsafe}
+
+	var direct [2]sim.Observation
+	for i, p := range []*sim.Program{public, labelled} {
+		if _, err := sim.RunContext(context.Background(), p, cfg, sim.Observe(&direct[i], sim.ArchSeq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(direct[0].DiffAll(&direct[1])) == 0 {
+		t.Fatal("the secret label did not change the direct observation; the test shows nothing")
+	}
+
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	var served [2]sim.Observation
+	for i, p := range []*sim.Program{public, labelled} {
+		_, obs, err := e.SubmitObserved(context.Background(), Job{Program: p, Config: cfg, Observe: []sim.Clause{sim.ArchSeq}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[i] = obs
+	}
+	if got, want := served[0].DiffAll(&served[1]), direct[0].DiffAll(&direct[1]); !reflect.DeepEqual(got, want) {
+		t.Errorf("engine observations differ in %v, direct runs in %v", got, want)
+	}
+}

@@ -7,13 +7,10 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"doppelganger/sim"
@@ -23,7 +20,10 @@ import (
 // the same Key are interchangeable — the simulator is deterministic, so the
 // engine may serve either from a cached result of the other.
 type Job struct {
-	// Program is the program image to simulate (required).
+	// Program is the program image to simulate (required). It must not
+	// change once the job has been keyed: the program saves its image's
+	// hash state on the first key, and every later key of any job sharing
+	// it resumes from that state (sim.Program.ImageHash).
 	Program *sim.Program
 	// Config selects the scheme, address prediction, run bounds and
 	// optional core overrides.
@@ -51,13 +51,15 @@ type Job struct {
 // Key canonically identifies a job: a hex digest over the full program
 // image and the fully-resolved configuration. Any change to an instruction,
 // an initial register or memory word, a run bound, or any core-config field
-// (including those reached through Config.Core) produces a different key.
+// (including those reached through Config.Core) produces a different key,
+// and so does, for an observed job, any change to the secret labels.
 type Key string
 
-// Key derives the job's canonical cache key.
+// Key derives the job's canonical cache key. The program image is hashed
+// once per program; every later key resumes from its saved hash state and
+// appends only the configuration, checkpoint and observation.
 func (j Job) Key() Key {
-	h := sha256.New()
-	fingerprintProgram(h, j.Program)
+	h := j.Program.ImageHash()
 	fingerprintConfig(h, j.Config)
 	if j.Checkpoint != nil {
 		// Folded in only when present, so every pre-checkpoint key (and the
@@ -73,58 +75,19 @@ func (j Job) Key() Key {
 			io.WriteString(h, ",")
 		}
 		io.WriteString(h, "|")
+		if j.Program != nil && len(j.Program.Secrets) > 0 {
+			// The observation's taint run seeds from the secret labels, so
+			// two images that differ only in them observe differently. Only
+			// labelled programs pay this, so every other key is unchanged.
+			io.WriteString(h, "secrets|")
+			for _, r := range j.Program.Secrets {
+				fmt.Fprintf(h, "%d+%d,", r.Base, r.Len)
+			}
+			io.WriteString(h, "|")
+		}
 	}
 	return Key(hex.EncodeToString(h.Sum(nil)))
 }
-
-// fingerprintProgram writes a canonical encoding of the program image:
-// name, entry point, every instruction, initial registers, and the initial
-// memory image in sorted address order (map iteration order must not leak
-// into the key).
-func fingerprintProgram(w io.Writer, p *sim.Program) {
-	if p == nil {
-		io.WriteString(w, "prog|nil")
-		return
-	}
-	fmt.Fprintf(w, "prog|%s|entry=%d|code=%d|", p.Name, p.Entry, len(p.Code))
-	addrs := make([]uint64, 0, len(p.InitMem))
-	for a := range p.InitMem {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	// The image is encoded as little-endian 64-bit words (five per
-	// instruction, then the registers, then address/value pairs) into one
-	// fixed-size buffer written out whenever it fills: few interface calls,
-	// and memory that does not grow with the image.
-	var buf [keyChunk]byte
-	b := buf[:0]
-	put := func(v uint64) {
-		if len(b) == len(buf) {
-			w.Write(b)
-			b = buf[:0]
-		}
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	for _, in := range p.Code {
-		put(uint64(in.Op))
-		put(uint64(in.Dst))
-		put(uint64(in.Src1))
-		put(uint64(in.Src2))
-		put(uint64(in.Imm))
-	}
-	for _, r := range p.InitRegs {
-		put(uint64(r))
-	}
-	for _, a := range addrs {
-		put(a)
-		put(uint64(p.InitMem[a]))
-	}
-	w.Write(b)
-}
-
-// keyChunk is the size of fingerprintProgram's encoding buffer, a
-// multiple of the 8-byte word.
-const keyChunk = 32 << 10
 
 // fingerprintConfig writes a canonical encoding of the run configuration.
 // The core configuration is resolved first (nil Core means the default with

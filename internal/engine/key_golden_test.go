@@ -1,12 +1,22 @@
 package engine
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"regexp"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"doppelganger/internal/checkpoint"
 	"doppelganger/internal/isa"
 	"doppelganger/internal/pipeline"
+	"doppelganger/internal/workload"
 	"doppelganger/sim"
 )
 
@@ -56,20 +66,23 @@ func goldenCheckpoint(t *testing.T) *sim.Checkpoint {
 	return ck
 }
 
-// TestKeyGolden pins the canonical cache-key encoding to exact digests.
-// These keys are the cluster's sharding function, the persistent result
-// tier's record keys, and the coordinator/worker version-skew cross-check:
-// a stored result tier written by one build must be readable by the next,
-// so an unintentional encoding change must fail loudly here. If you change
-// the encoding ON PURPOSE, update these digests AND bump the store format
-// version (internal/cluster/store) — old stored keys no longer name the
-// same simulations.
-func TestKeyGolden(t *testing.T) {
-	cases := []struct {
-		name string
-		job  Job
-		want Key
-	}{
+// secretProgram is goldenProgram with its first memory word labelled
+// secret.
+func secretProgram() *sim.Program {
+	p := goldenProgram()
+	p.Secrets = []sim.SecretRegion{{Base: 64, Len: 8}}
+	return p
+}
+
+type goldenJob struct {
+	name string
+	job  Job
+	want Key
+}
+
+// goldenJobs returns the pinned jobs, each on a program never keyed before.
+func goldenJobs(t *testing.T) []goldenJob {
+	return []goldenJob{
 		{
 			name: "nil program, zero config",
 			job:  Job{},
@@ -123,12 +136,151 @@ func TestKeyGolden(t *testing.T) {
 			},
 			want: "d24edbd738db76a9f75f4e7bb1be22a09c4b9ac465ee3f4383339be0c0691a95",
 		},
+		{
+			// Secret labels enter only observed keys of labelled programs,
+			// so every case above keeps its digest.
+			name: "secret-labelled program, full-lattice observation",
+			job: Job{
+				Program: secretProgram(),
+				Config:  sim.Config{Scheme: sim.DoM, AddressPrediction: true},
+				Observe: []sim.Clause{sim.CTSpec},
+			},
+			want: "47c16a02b4274fce0d7335f2e38d2d0920ed7e1edfb5cb98bcbcdfebb66674f9",
+		},
 	}
-	for _, c := range cases {
+}
+
+// TestKeyGolden pins the canonical cache-key encoding to exact digests.
+// These keys are the cluster's sharding function, the persistent result
+// tier's record keys, and the coordinator/worker version-skew cross-check:
+// a stored result tier written by one build must be readable by the next,
+// so an unintentional encoding change must fail loudly here. If you change
+// the encoding ON PURPOSE, update these digests AND bump the store format
+// version (internal/cluster/store) — old stored keys no longer name the
+// same simulations.
+func TestKeyGolden(t *testing.T) {
+	for _, c := range goldenJobs(t) {
 		if got := c.job.Key(); got != c.want {
 			t.Errorf("%s:\n  got  %s\n  want %s\n(cache-key encoding changed — see test comment before updating)",
 				c.name, got, c.want)
 		}
+	}
+}
+
+// referenceKey is the key encoding written out in one pass, with no saved
+// hash state: the program image, the resolved configuration, the
+// checkpoint digest, and the clause set with, for a labelled program, its
+// secret regions.
+func referenceKey(j Job) Key {
+	var w bytes.Buffer
+	if p := j.Program; p == nil {
+		w.WriteString("prog|nil")
+	} else {
+		fmt.Fprintf(&w, "prog|%s|entry=%d|code=%d|", p.Name, p.Entry, len(p.Code))
+		put := func(v uint64) { w.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+		for _, in := range p.Code {
+			put(uint64(in.Op))
+			put(uint64(in.Dst))
+			put(uint64(in.Src1))
+			put(uint64(in.Src2))
+			put(uint64(in.Imm))
+		}
+		for _, r := range p.InitRegs {
+			put(uint64(r))
+		}
+		addrs := make([]uint64, 0, len(p.InitMem))
+		for a := range p.InitMem {
+			addrs = append(addrs, a)
+		}
+		slices.Sort(addrs)
+		for _, a := range addrs {
+			put(a)
+			put(uint64(p.InitMem[a]))
+		}
+	}
+	core, err := json.Marshal(j.Config.ResolvedCore())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Fprintf(&w, "|cfg|insts=%d|cycles=%d|%s", j.Config.MaxInsts, j.Config.MaxCycles, core)
+	if j.Checkpoint != nil {
+		fmt.Fprintf(&w, "|ckpt|%s|", j.Checkpoint.Digest())
+	}
+	if len(j.Observe) > 0 {
+		w.WriteString("|obs|")
+		for _, c := range sim.CanonicalClauses(j.Observe) {
+			w.WriteString(c.String() + ",")
+		}
+		w.WriteString("|")
+		if j.Program != nil && len(j.Program.Secrets) > 0 {
+			w.WriteString("secrets|")
+			for _, r := range j.Program.Secrets {
+				fmt.Fprintf(&w, "%d+%d,", r.Base, r.Len)
+			}
+			w.WriteString("|")
+		}
+	}
+	sum := sha256.Sum256(w.Bytes())
+	return Key(hex.EncodeToString(sum[:]))
+}
+
+// TestKeyMatchesReference checks the saved image hash state against the
+// one-pass reference encoding for every golden job: the first key, a
+// repeated key, and eight goroutines keying one fresh program at once.
+func TestKeyMatchesReference(t *testing.T) {
+	for _, c := range goldenJobs(t) {
+		want := referenceKey(c.job)
+		if got := c.job.Key(); got != want {
+			t.Errorf("%s: first key %s, reference %s", c.name, got, want)
+		}
+		if got := c.job.Key(); got != want {
+			t.Errorf("%s: repeated key %s, reference %s", c.name, got, want)
+		}
+	}
+	for _, c := range goldenJobs(t) {
+		want := referenceKey(c.job)
+		// referenceKey reads the program without keying it, so the
+		// goroutines below race to make the first key.
+		const goroutines = 8
+		keys := make([]Key, goroutines)
+		var wg sync.WaitGroup
+		wg.Add(goroutines)
+		for g := range keys {
+			go func(g int) {
+				defer wg.Done()
+				keys[g] = c.job.Key()
+			}(g)
+		}
+		wg.Wait()
+		for g, got := range keys {
+			if got != want {
+				t.Errorf("%s: goroutine %d keyed %s, reference %s", c.name, g, got, want)
+			}
+		}
+	}
+}
+
+// TestRepeatedKeyAllocations bounds what a repeated key of a test-scale
+// stream job allocates. Its first key allocates about 140 KB, sorting and
+// encoding the image; a repeated key resumes from the saved hash state and
+// encodes only the configuration.
+func TestRepeatedKeyAllocations(t *testing.T) {
+	w, ok := workload.ByName("stream")
+	if !ok {
+		t.Fatal("no stream workload")
+	}
+	j := Job{Program: w.Build(workload.ScaleTest), Config: sim.Config{Scheme: sim.DoM, AddressPrediction: true}}
+	j.Key()
+	const keys = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < keys; i++ {
+		j.Key()
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 16 << 10
+	if per := (after.TotalAlloc - before.TotalAlloc) / keys; per > limit {
+		t.Errorf("a repeated key allocated %d bytes, want at most %d", per, limit)
 	}
 }
 
@@ -218,6 +370,12 @@ func TestKeySensitivity(t *testing.T) {
 	}
 	if got := (Job{Program: goldenProgram(), Observe: []sim.Clause{sim.ArchSeq}}).Key(); got == observed {
 		t.Error("different observed clause sets produced the same key")
+	}
+	if got := (Job{Program: secretProgram()}).Key(); got != base {
+		t.Error("secret labels changed a blind key; only the observation reads them")
+	}
+	if got := (Job{Program: secretProgram(), Observe: []sim.Clause{sim.CTSpec}}).Key(); got == observed {
+		t.Error("secret labels did not change an observed key; the observation's taint run reads them")
 	}
 	canon := Job{Program: goldenProgram(), Observe: []sim.Clause{sim.CTSpec, sim.CTSpec, sim.ArchSeq, sim.CTSpec}}.Key()
 	reorderedObs := Job{Program: goldenProgram(), Observe: []sim.Clause{sim.ArchSeq, sim.CTSpec, sim.CTSpec, sim.CTSpec}}.Key()

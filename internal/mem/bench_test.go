@@ -93,3 +93,31 @@ func BenchmarkAccessRejected(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUndoJournal measures the undo journal's three operations on one
+// speculative window: eight accesses to new lines append their side effects
+// (fills and evictions at every level, an MSHR each), the oldest four
+// retire as their instructions commit, and the youngest four roll back as
+// a squash would.
+func BenchmarkUndoJournal(b *testing.B) {
+	const window = 8
+	h := NewHierarchy(table1)
+	h.EnableUndo(UndoOptions{})
+	b.ReportAllocs()
+	line := warm(b, h)
+	var seq uint64
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < window; k++ {
+			seq++
+			if res := h.Access(line*missGap, line*LineSize, ClassDemand, AccessOptions{UndoSeq: seq}); res.Level != LevelMem {
+				b.Fatalf("access %d satisfied at %v, want memory", seq, res.Level)
+			}
+			line++
+		}
+		h.RetireUpTo(seq - window/2)
+		h.RollbackAfter(seq - window/2)
+		if n := h.UndoPending(); n != 0 {
+			b.Fatalf("window %d left %d journal records", i, n)
+		}
+	}
+}

@@ -20,6 +20,11 @@ func AlignAddr(addr uint64) uint64 { return addr &^ (WordSize - 1) }
 
 // Program is a static instruction stream plus initial state. The zero value
 // is an empty program; use Builder or Assemble to construct one.
+//
+// A Program must not change once its image has been hashed (ImageHash,
+// which every engine job key calls): the hash state saved on the first call
+// would go on naming the old image. Build or edit a program fully, then
+// share it by pointer; it is never copied by value.
 type Program struct {
 	// Code is the instruction memory, indexed by PC.
 	Code []isa.Instruction
@@ -36,6 +41,9 @@ type Program struct {
 	Secrets []Region
 	// Name labels the program in statistics output.
 	Name string
+
+	// image is the saved hash state of the canonical image; see ImageHash.
+	image imageHash
 }
 
 // Fetch returns the instruction at pc. PCs outside the code region read as

@@ -31,14 +31,14 @@ func TestFetchOutOfRange(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		p    Program
+		p    *Program
 	}{
-		{"empty", Program{Name: "e"}},
-		{"entry out of range", Program{Name: "e", Code: []isa.Instruction{{Op: isa.Halt}}, Entry: 5}},
-		{"bad op", Program{Name: "e", Code: []isa.Instruction{{Op: isa.Op(200)}}}},
-		{"branch target out of range", Program{Name: "e", Code: []isa.Instruction{
+		{"empty", &Program{Name: "e"}},
+		{"entry out of range", &Program{Name: "e", Code: []isa.Instruction{{Op: isa.Halt}}, Entry: 5}},
+		{"bad op", &Program{Name: "e", Code: []isa.Instruction{{Op: isa.Op(200)}}}},
+		{"branch target out of range", &Program{Name: "e", Code: []isa.Instruction{
 			{Op: isa.Beq, Imm: 77}, {Op: isa.Halt}}}},
-		{"negative branch target", Program{Name: "e", Code: []isa.Instruction{
+		{"negative branch target", &Program{Name: "e", Code: []isa.Instruction{
 			{Op: isa.Jmp, Imm: -1}, {Op: isa.Halt}}}},
 	}
 	for _, c := range cases {
