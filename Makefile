@@ -49,8 +49,9 @@ cover:
 		{ echo "coverage gate: FAIL: $$total% < $(COVER_MIN)%"; exit 1; }
 
 # Packages whose benchmarks the regression gate runs: the simulator's run
-# paths, the engine's job key and the memory hierarchy's access paths.
-BENCH_PKGS = ./sim ./internal/engine ./internal/mem
+# paths, the engine's job key, the memory hierarchy's access paths and
+# fingerprint, and the pipeline's load-queue pass.
+BENCH_PKGS = ./sim ./internal/engine ./internal/mem ./internal/pipeline
 
 # Benchmark-regression gate for the simulator hot path. Compares the gated
 # benchmarks (BENCH_PKGS, median of 6 counts) against the committed

@@ -222,15 +222,16 @@ func runCampaign(ctx context.Context, stdout, stderr io.Writer, cfgs []leakcheck
 
 // addSweeps records the classic two-run oracle's per-config leaks and
 // verdicts, minimising each reproducer or attaching its disassembly when
-// asked.
+// asked. Every minimisation runs on one core.
 func addSweeps(ctx context.Context, rep *report, sweeps []leakcheck.SweepResult, minimize, disasm bool) error {
+	var r sim.Runner
 	for _, sw := range sweeps {
 		rs := sweepReport{Config: sw.Config.String(), Seeds: sw.Seeds, Verdict: sw.Verdict()}
 		rep.fail(rs.Verdict)
 		for _, sl := range sw.Leaks {
 			lr := leakReport{Seed: sl.Seed, Components: sl.Leak.Components, Params: sl.Leak.Params.String()}
 			if minimize {
-				min, err := leakcheck.Minimize(ctx, sl.Leak)
+				min, err := leakcheck.MinimizeOn(ctx, &r, sl.Leak)
 				if err != nil {
 					return err
 				}

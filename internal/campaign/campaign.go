@@ -167,6 +167,7 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 
 	sum := &Summary{ResumedInputs: resumed}
 	lattice := sim.Lattice()
+	var minRunner sim.Runner // every minimisation's core
 	for sum.Evals < opts.Budget {
 		n := min(batchSize, opts.Budget-sum.Evals)
 		genomes := make([]leakcheck.Params, n)
@@ -215,7 +216,7 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 				if ev.Leak == nil {
 					continue
 				}
-				if err := recordLeak(ctx, corpus, ev.Leak, sum, logf); err != nil {
+				if err := recordLeak(ctx, &minRunner, corpus, ev.Leak, sum, logf); err != nil {
 					return nil, err
 				}
 			}
@@ -251,9 +252,9 @@ func Run(ctx context.Context, opts Options) (*Summary, error) {
 
 // recordLeak folds one leaking pair into the corpus: drop it if its
 // behavioural signature is already represented, otherwise minimize the
-// reproducer and store it (unless a checksum-identical reproducer arrived
-// through another path first).
-func recordLeak(ctx context.Context, corpus *Corpus, leak *leakcheck.Leak,
+// reproducer on r and store it (unless a checksum-identical reproducer
+// arrived through another path first).
+func recordLeak(ctx context.Context, r *sim.Runner, corpus *Corpus, leak *leakcheck.Leak,
 	sum *Summary, logf func(string, ...any)) error {
 	var clauses []string
 	for _, c := range leak.LeakingClauses() {
@@ -264,7 +265,7 @@ func recordLeak(ctx context.Context, corpus *Corpus, leak *leakcheck.Leak,
 		sum.DupLeaks++
 		return nil
 	}
-	params, err := leakcheck.Minimize(ctx, *leak)
+	params, err := leakcheck.MinimizeOn(ctx, r, *leak)
 	if err != nil {
 		return fmt.Errorf("campaign: minimizing %s: %w", leak.Params, err)
 	}

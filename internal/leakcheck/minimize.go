@@ -13,20 +13,26 @@ import (
 // chain is seed-prefix-stable (see chainOps), so reducing ChainLen keeps
 // the surviving operations identical. Passes repeat until a fixpoint.
 //
-// Every check runs on one sim.Runner. An infrastructure error (context
-// cancellation) aborts minimization and returns the best reproducer found
-// so far alongside the error.
+// Every check runs on one sim.Runner of its own; MinimizeOn takes the
+// caller's. An infrastructure error (context cancellation) aborts
+// minimization and returns the best reproducer found so far alongside the
+// error.
 func Minimize(ctx context.Context, leak Leak) (Params, error) {
+	return MinimizeOn(ctx, new(sim.Runner), leak)
+}
+
+// MinimizeOn is Minimize running every check on r, so a caller that
+// minimises many leaks keeps one core for all of them.
+func MinimizeOn(ctx context.Context, r *sim.Runner, leak Leak) (Params, error) {
 	p := leak.Params.Normalize()
 	cfg := leak.Config
 
-	var r sim.Runner
 	var firstErr error
 	leaks := func(q Params) bool {
 		if firstErr != nil {
 			return false
 		}
-		l, err := check(ctx, &r, q, cfg)
+		l, err := check(ctx, r, q, cfg)
 		if err != nil {
 			firstErr = err
 			return false

@@ -121,3 +121,31 @@ func BenchmarkUndoJournal(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheFingerprint measures the fingerprint of the default L3
+// holding a leakage gadget's footprint: 48 lines, one per set, six sets in
+// each of eight chunks (generated gadgets leave 30–90 lines in 5–14 chunks
+// of it), two of them dirty and one still filling. Every observation
+// digests every level this way.
+func BenchmarkCacheFingerprint(b *testing.B) {
+	c := NewCache(table1.L3)
+	const now = 1000
+	for k := uint64(0); k < 8; k++ {
+		chunk := k * 29 % uint64(table1.L3.Sets()>>chunkShift)
+		for j := uint64(0); j < 6; j++ {
+			addr := (chunk<<chunkShift | j*11) * LineSize
+			c.Insert(addr, now-1+k/7) // the last chunk's lines are in flight
+			if j == 5 && k%4 == 0 {
+				c.MarkDirty(addr)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = c.Fingerprint(now)
+	}
+}
+
+// fingerprintSink keeps BenchmarkCacheFingerprint's result live.
+var fingerprintSink uint64

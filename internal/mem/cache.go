@@ -21,9 +21,17 @@
 // Reset empties a cache for its next run and keeps the storage: the chunks
 // the last run filled are zeroed onto a free list that later fills take
 // from first, so a cache reused across short runs allocates nothing.
+//
+// Each chunk also keeps an occupancy word, one bit per set, set when a fill
+// (or a restored non-zero line) first writes the set. A set whose bit is
+// clear is all-zero, so the fingerprints, State and Reset visit only the
+// sets a run wrote, not every set of every chunk it touched.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineSize is the cache line size in bytes. Addresses are mapped to lines
 // by dropping the low bits.
@@ -102,14 +110,15 @@ const keptChunks = 4 * firstChunks
 
 // Cache is one set-associative, LRU-replacement cache level.
 //
-// Storage grows with the sets a run fills. chunks maps each chunk of
-// consecutive sets to its ways, nil until the chunk is first filled (every
-// way invalid). A chunk's ways come from the free list, or else are carved
-// from the newest segment of storage, and stay where they are until Reset
-// returns them to the free list. Only insert (and Restore) fills a chunk.
+// Storage grows with the sets a run fills. chunks holds each chunk of
+// consecutive sets: its ways, nil until the chunk is first filled (every
+// way invalid), and its occupancy word. A chunk's ways come from the free
+// list, or else are carved from the newest segment of storage, and stay
+// where they are until Reset returns them to the free list. Only insert
+// (and Restore) fills a chunk.
 type Cache struct {
 	cfg        CacheConfig
-	chunks     [][]line
+	chunks     []chunk
 	free       [][]line // zeroed chunks' ways, returned by Reset
 	spare      []line   // the newest segment's lines not yet given to a chunk
 	filled     int      // chunks carved from segments
@@ -145,7 +154,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	c.chunkShift = min(c.tagShift, chunkShift)
 	c.chunkMask = 1<<c.chunkShift - 1
-	c.chunks = make([][]line, sets>>c.chunkShift)
+	c.chunks = make([]chunk, sets>>c.chunkShift)
 	return c
 }
 
@@ -157,14 +166,25 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	return la & c.setMask, la >> c.tagShift
 }
 
+// chunk is one chunk of consecutive sets. Bit s of occupied is set when
+// set s may hold a non-zero line: insert and Restore set it when they
+// write the set, and only Reset clears it. The bits are sticky (a rollback
+// or Invalidate that empties a set leaves its bit), so the invariant is
+// one-sided: a set whose bit is clear is all-zero. chunkShift is at most
+// 6, so one word covers a chunk.
+type chunk struct {
+	ways     []line
+	occupied uint64
+}
+
 // setWays returns the set's ways, or nil when its chunk was never filled.
 func (c *Cache) setWays(set uint64) []line {
-	chunk := c.chunks[set>>c.chunkShift]
-	if chunk == nil {
+	ways := c.chunks[set>>c.chunkShift].ways
+	if ways == nil {
 		return nil
 	}
 	i := int(set&c.chunkMask) * c.ways
-	return chunk[i : i+c.ways : i+c.ways]
+	return ways[i : i+c.ways : i+c.ways]
 }
 
 // fillChunk gives the set's chunk its ways, every way invalid, and returns
@@ -184,21 +204,32 @@ func (c *Cache) fillChunk(set uint64) []line {
 		ways, c.spare = c.spare[:chunkLines:chunkLines], c.spare[chunkLines:]
 		c.filled++
 	}
-	c.chunks[set>>c.chunkShift] = ways
+	c.chunks[set>>c.chunkShift].ways = ways
 	return c.setWays(set)
+}
+
+// occupy marks the set as possibly holding a non-zero line.
+func (c *Cache) occupy(set uint64) {
+	c.chunks[set>>c.chunkShift].occupied |= 1 << (set & c.chunkMask)
 }
 
 // Reset returns the cache to the state NewCache builds: every set
 // unfilled, the recency clock and victim-choice stream at their start, and
 // the statistics zero. The filled chunks' ways are zeroed and kept on the
-// free list for the next run's fills.
+// free list for the next run's fills; only the occupied sets are cleared,
+// since every other set is already zero.
 func (c *Cache) Reset() {
-	for k, chunk := range c.chunks {
-		if chunk != nil {
-			clear(chunk)
-			c.free = append(c.free, chunk)
-			c.chunks[k] = nil
+	for k := range c.chunks {
+		ch := &c.chunks[k]
+		if ch.ways == nil {
+			continue
 		}
+		for occ := ch.occupied; occ != 0; occ &= occ - 1 {
+			s := bits.TrailingZeros64(occ) * c.ways
+			clear(ch.ways[s : s+c.ways])
+		}
+		c.free = append(c.free, ch.ways)
+		*ch = chunk{}
 	}
 	c.clock = 0
 	c.rng = rngSeed
@@ -213,16 +244,14 @@ func (c *Cache) Outgrown() bool { return c.filled > keptChunks }
 // records are only made for ways a lookup found or insert filled.
 func (c *Cache) way(set, way int32) *line { return &c.setWays(uint64(set))[way] }
 
-// eachFilledSet calls fn, in set order, for every set of an allocated chunk;
-// every other set is all-invalid.
-func (c *Cache) eachFilledSet(fn func(set int, ways []line)) {
-	per := int(c.chunkMask) + 1
-	for k, chunk := range c.chunks {
-		if chunk == nil {
-			continue
-		}
-		for s := 0; s < per; s++ {
-			fn(k*per+s, chunk[s*c.ways:(s+1)*c.ways])
+// eachOccupiedSet calls fn, in set order, for every set whose occupancy
+// bit is set; every other set is all-zero.
+func (c *Cache) eachOccupiedSet(fn func(set int, ways []line)) {
+	for k := range c.chunks {
+		ch := &c.chunks[k]
+		for occ := ch.occupied; occ != 0; occ &= occ - 1 {
+			s := bits.TrailingZeros64(occ)
+			fn(k<<c.chunkShift+s, ch.ways[s*c.ways:(s+1)*c.ways])
 		}
 	}
 }
@@ -382,6 +411,7 @@ func (c *Cache) insert(addr, readyAt uint64, j *undoJournal, seq uint64) (evicte
 	if ways == nil {
 		ways = c.fillChunk(set)
 	}
+	c.occupy(set)
 	c.clock++
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -481,7 +511,7 @@ func (c *Cache) Fingerprint(now uint64) uint64 {
 		h ^= v
 		h *= prime
 	}
-	c.eachFilledSet(func(si int, set []line) {
+	c.eachOccupiedSet(func(si int, set []line) {
 		valid := 0
 		for wi := range set {
 			if set[wi].valid {
@@ -524,7 +554,7 @@ func (c *Cache) Fingerprint(now uint64) uint64 {
 // costs nothing on the access path.
 func (c *Cache) OccupiedSets() uint64 {
 	var bits uint64
-	c.eachFilledSet(func(si int, set []line) {
+	c.eachOccupiedSet(func(si int, set []line) {
 		for wi := range set {
 			if set[wi].valid {
 				bits |= 1 << (uint(si) % 64)

@@ -48,7 +48,7 @@ func (c *Cache) State() *CacheState {
 	if c.cfg.RandomReplacement {
 		st.Rng = c.rng
 	}
-	c.eachFilledSet(func(set int, ways []line) {
+	c.eachOccupiedSet(func(set int, ways []line) {
 		out := st.Lines[set*c.ways:]
 		for w, l := range ways {
 			out[w] = LineState{
@@ -62,7 +62,8 @@ func (c *Cache) State() *CacheState {
 
 // Restore overwrites the cache with a captured state. The state must have
 // been captured under an identical configuration. A never-filled chunk is
-// allocated only if the state holds a non-zero line in it.
+// allocated, and a set marked occupied, only if the state holds a non-zero
+// line in it.
 func (c *Cache) Restore(st *CacheState) error {
 	if st.Config != c.cfg {
 		return fmt.Errorf("cache: checkpoint config %+v does not match this core's %+v", st.Config, c.cfg)
@@ -73,11 +74,13 @@ func (c *Cache) Restore(st *CacheState) error {
 	for set := 0; set*c.ways < len(st.Lines); set++ {
 		src := st.Lines[set*c.ways : (set+1)*c.ways]
 		dst := c.setWays(uint64(set))
-		if dst == nil {
-			if allZero(src) {
-				continue
+		if !allZero(src) {
+			if dst == nil {
+				dst = c.fillChunk(uint64(set))
 			}
-			dst = c.fillChunk(uint64(set))
+			c.occupy(uint64(set))
+		} else if dst == nil {
+			continue
 		}
 		for w, l := range src {
 			dst[w] = line{

@@ -251,6 +251,6 @@ func (c Config) storage() Config {
 // (only once non-speculative). The paper requires this for DoM enhanced
 // with doppelganger loads (§5.3) to close the implicit channels that
 // doppelganger misses would otherwise open.
-func (c Config) inOrderBranchResolution() bool {
+func (c *Config) inOrderBranchResolution() bool {
 	return c.Scheme.DelaysOnMiss() && c.AddressPrediction
 }

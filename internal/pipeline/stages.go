@@ -65,7 +65,7 @@ func (c *Core) canFetch() bool {
 func (c *Core) dispatch() {
 	n := 0
 	for n < c.cfg.DecodeWidth && n < len(c.fetchBuf) {
-		f := c.fetchBuf[n]
+		f := &c.fetchBuf[n]
 		kind := f.in.Op.Kind()
 		if !c.canDispatch(kind) {
 			break
@@ -73,20 +73,19 @@ func (c *Core) dispatch() {
 
 		c.seqCtr++
 		idx := c.rob.push()
+		// Slots are zeroed and then filled in place: assigning a
+		// composite literal would build it in a temporary and copy it.
 		u := &c.robEntries[idx]
-		*u = uop{
-			seq:        c.seqCtr,
-			pc:         f.pc,
-			in:         f.in,
-			kind:       kind,
-			dst:        noReg,
-			oldDst:     noReg,
-			lqIdx:      -1,
-			sqIdx:      -1,
-			predTaken:  f.predTaken,
-			predTarget: f.predTarget,
-			hist:       f.hist,
-		}
+		*u = uop{}
+		u.seq = c.seqCtr
+		u.pc = f.pc
+		u.in = f.in
+		u.kind = kind
+		u.dst, u.oldDst = noReg, noReg
+		u.lqIdx, u.sqIdx = -1, -1
+		u.predTaken = f.predTaken
+		u.predTarget = f.predTarget
+		u.hist = f.hist
 
 		srcs, nsrc := f.in.Sources()
 		u.nsrc = nsrc
@@ -123,7 +122,8 @@ func (c *Core) dispatch() {
 			li := c.lq.push()
 			u.lqIdx = li
 			e := &c.lqEntries[li]
-			*e = lqEntry{u: u, valid: true}
+			*e = lqEntry{}
+			e.u, e.valid = u, true
 			c.lqAwake.set(li)
 			if c.cfg.ExceptionShadows {
 				u.castsShadow = true
@@ -148,7 +148,9 @@ func (c *Core) dispatch() {
 		case isa.KindStore:
 			si := c.sq.push()
 			u.sqIdx = si
-			c.sqEntries[si] = sqEntry{u: u, valid: true}
+			s := &c.sqEntries[si]
+			*s = sqEntry{}
+			s.u, s.valid = u, true
 			// A store casts a data shadow until its address resolves.
 			u.castsShadow = true
 			c.shadows.Add(u.seq)

@@ -22,8 +22,9 @@ func AlignAddr(addr uint64) uint64 { return addr &^ (WordSize - 1) }
 // is an empty program; use Builder or Assemble to construct one.
 //
 // A Program must not change once its image has been hashed (ImageHash,
-// which every engine job key calls): the hash state saved on the first call
-// would go on naming the old image. Build or edit a program fully, then
+// which every engine job key calls) or its taint summarised (TaintSummary,
+// which every observed run calls): the state saved on the first call would
+// go on describing the old program. Build or edit a program fully, then
 // share it by pointer; it is never copied by value.
 type Program struct {
 	// Code is the instruction memory, indexed by PC.
@@ -44,6 +45,8 @@ type Program struct {
 
 	// image is the saved hash state of the canonical image; see ImageHash.
 	image imageHash
+	// taint is the last taint summary; see TaintSummary.
+	taint taintMemo
 }
 
 // Fetch returns the instruction at pc. PCs outside the code region read as

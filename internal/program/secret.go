@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"sync"
 
 	"doppelganger/internal/isa"
 )
@@ -141,4 +142,50 @@ func (t *TaintState) PubChecksum() uint64 {
 		memSum += mix(mix(offset, a), uint64(v))
 	}
 	return mix(h, memSum)
+}
+
+// TaintSummary is what the contract oracle reads from a taint run: the
+// public architectural digest and the constant-time diagnosis.
+type TaintSummary struct {
+	PubChecksum    uint64
+	BranchOnSecret bool
+	AddrOnSecret   bool
+}
+
+// Summary reduces the taint state to its TaintSummary.
+func (t *TaintState) Summary() TaintSummary {
+	return TaintSummary{
+		PubChecksum:    t.PubChecksum(),
+		BranchOnSecret: t.BranchOnSecret,
+		AddrOnSecret:   t.AddrOnSecret,
+	}
+}
+
+// taintMemo is a program's last taint summary and the instruction count it
+// was run to.
+type taintMemo struct {
+	mu    sync.Mutex
+	ok    bool
+	insts uint64
+	sum   TaintSummary
+}
+
+// TaintSummary returns RunTainted(p, maxInsts).Summary(). The program saves
+// the last summary with its count, so the configurations of a sweep, which
+// all commit the same count of one program, interpret it once between
+// them. It is safe for concurrent use: a caller waits for a summary another
+// is computing rather than run the interpreter again. A nil program
+// summarises as an empty one.
+func (p *Program) TaintSummary(maxInsts uint64) TaintSummary {
+	if p == nil {
+		return RunTainted(new(Program), maxInsts).Summary()
+	}
+	m := &p.taint
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.ok || m.insts != maxInsts {
+		m.sum = RunTainted(p, maxInsts).Summary()
+		m.ok, m.insts = true, maxInsts
+	}
+	return m.sum
 }

@@ -1,6 +1,8 @@
 package program
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"doppelganger/internal/isa"
@@ -168,5 +170,68 @@ func TestRegionContains(t *testing.T) {
 	}
 	if isa.NumRegs < 8 {
 		t.Fatal("tests assume at least 8 registers")
+	}
+}
+
+// TaintSummary must equal a fresh RunTainted summary whatever counts it is
+// asked for, in any order and from any number of goroutines at once: on a
+// program whose diagnosis depends on the count, on a secret-free program
+// and on a nil one.
+func TestTaintSummaryMatchesRunTainted(t *testing.T) {
+	b := NewBuilder("addr-on-secret")
+	b.SecretWord(secAddr, 8)
+	b.LoadI(1, int64(secAddr))
+	b.Load(2, 1, 0)
+	b.Store(2, 1, 8)
+	b.Load(3, 2, int64(pubAddr)) // address = pub + secret, the fourth instruction
+	b.Halt()
+	progs := map[string]*Program{
+		"secret":      b.MustBuild(),
+		"secret-free": buildLeakProg(42, false),
+		"nil":         nil,
+	}
+	counts := []uint64{1 << 20, 2, 4, 4, 5, 0, 1 << 20, 3}
+	want := func(p *Program, n uint64) TaintSummary {
+		if p == nil {
+			p = new(Program)
+		}
+		return RunTainted(p, n).Summary()
+	}
+	if s3, s4 := want(progs["secret"], 3), want(progs["secret"], 4); s3 == s4 {
+		t.Fatalf("the secret program's summary does not change with the count: %+v", s3)
+	}
+	for name, p := range progs {
+		for _, n := range counts {
+			if got, want := p.TaintSummary(n), want(p, n); got != want {
+				t.Errorf("%s, %d instructions: TaintSummary %+v, RunTainted %+v", name, n, got, want)
+			}
+		}
+	}
+
+	p := buildLeakProg(7, true)
+	refs := make(map[uint64]TaintSummary, len(counts))
+	for _, n := range counts {
+		refs[n] = want(p, n)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(counts))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range counts {
+				// Half the goroutines ask for one count throughout, half walk
+				// the counts, so hits and recomputations interleave.
+				n := counts[(g%2)*(i+g)%len(counts)]
+				if got := p.TaintSummary(n); got != refs[n] {
+					errs <- fmt.Sprintf("goroutine %d, %d instructions: %+v, want %+v", g, n, got, refs[n])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"doppelganger/internal/pipeline"
-	"doppelganger/internal/program"
 )
 
 // ObserverMode selects *what* an attacker-observer can see. Modes are
@@ -318,14 +317,16 @@ type obsRequest struct {
 // capture fills the observation from a finished core. The committed
 // instruction count drives the taint-tracking reference interpreter, which
 // replays architectural execution exactly (commit order is architectural
-// order), so warm-started and straight-line runs observe identically.
+// order), so warm-started and straight-line runs observe identically. The
+// program keeps the summary, so runs of one program under several
+// configurations interpret it once.
 func (r obsRequest) capture(c *pipeline.Core, p *Program) {
 	o := r.out
 	o.clauses = r.clauses
 	o.Micro = c.MicroDigest()
 	o.AddrSeq, o.CtrlSeq, o.AddrSpec, o.CtrlSpec = c.ObsTraces()
-	ts := program.RunTainted(p, c.Stats.Committed)
-	o.PubArch = ts.PubChecksum()
+	ts := p.TaintSummary(c.Stats.Committed)
+	o.PubArch = ts.PubChecksum
 	o.SecretControlFlow = ts.BranchOnSecret
 	o.SecretAddressing = ts.AddrOnSecret
 	h := c.Hierarchy()
